@@ -37,11 +37,14 @@ fmt-check:
 # sampler benchmark the flow-size draw, the trace-replay benchmark the
 # capture/replay injection path, the matching benchmarks
 # (BenchmarkMatch*, at up to 512 ports) the scheduling core's
-# nonzero-iteration hot path, and the serve benchmarks the online
-# service's allocation-free epoch loop.
+# nonzero-iteration hot path, the serve benchmarks the online
+# service's allocation-free epoch loop, and the wire benchmark the
+# daemon's connection loop (512 pipelined offers and a step per op over
+# loopback TCP).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventQueue|BenchmarkObserverStream|BenchmarkEmpiricalSampler|BenchmarkTraceReplay|BenchmarkMatch|BenchmarkServiceEpoch' -benchtime 0.1s .
 	$(GO) test -run '^$$' -bench 'BenchmarkServeEpoch' -benchtime 0.1s ./internal/serve
+	$(GO) test -run '^$$' -bench 'BenchmarkWireRound' -benchmem -benchtime 0.1s ./cmd/hybridschedd
 
 # bench-json records the scheduling-core performance trajectory: it runs
 # the matching and frame-decomposition benchmark set with -benchmem and
@@ -50,9 +53,11 @@ bench-smoke:
 # Ten repetitions per benchmark: benchjson collapses them to the
 # per-metric minimum (best observed steady state), which keeps the slow
 # n=512 entries stable enough for the 20% bench-compare gate on noisy
-# machines.
+# machines. BENCH_wire.json is the sibling ledger for the daemon's wire:
+# BenchmarkWireRound, one op = one 512-offer pipelined round.
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatch$$|BenchmarkFrameDecompose$$' -benchmem -benchtime 0.1s -count 10 . | $(GO) run ./cmd/benchjson -o BENCH_core.json
+	$(GO) test -run '^$$' -bench 'BenchmarkWireRound$$' -benchmem -benchtime 0.1s -count 10 ./cmd/hybridschedd | $(GO) run ./cmd/benchjson -o BENCH_wire.json
 
 # bench-compare is the perf-regression gate on that trajectory: it
 # re-runs the same benchmark set and diffs against the committed
@@ -65,8 +70,11 @@ bench-json:
 # min-of-10 collapse and drift normalization, and a deliberate hot-path
 # pessimization lands far above either bound. Run this before
 # bench-json — bench-json rewrites the baseline the gate diffs against.
+# The wire ledger is gated by the same rules; with one entry there is no
+# suite median to normalize by, so its ns/op ratio is gated raw.
 bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatch$$|BenchmarkFrameDecompose$$' -benchmem -benchtime 0.1s -count 10 . | $(GO) run ./cmd/benchjson -compare BENCH_core.json -tolerance 0.40
+	$(GO) test -run '^$$' -bench 'BenchmarkWireRound$$' -benchmem -benchtime 0.1s -count 10 ./cmd/hybridschedd | $(GO) run ./cmd/benchjson -compare BENCH_wire.json -tolerance 0.40
 
 # race-smoke runs the concurrency-bearing layers under the race detector:
 # the parallel execution engine and the root fan-out/observer API,

@@ -25,7 +25,30 @@
 //
 // subscribe switches the connection into a one-way frame stream:
 // {"epoch":..,"shard":..,"match":[..],"pairs":..,"served_bits":..,
-// "backlog_bits":..} per line until the client disconnects.
+// "backlog_bits":..} per line until the client disconnects. Its buffer
+// is at most 4096 frames; a deeper one is refused with an error reply.
+//
+// Ordering and pipelining. A connection's requests are served strictly
+// in order and every non-blank line gets exactly one reply line, in the
+// same order, so a client may write any number of requests before
+// reading a reply. Replies are buffered and flushed before any read that
+// can block — whenever the daemon holds no further complete request
+// line — and when 64 KiB of them have collected. A client that waits for
+// each reply therefore gets it immediately; a client that pipelines a
+// burst gets the burst's replies in one write instead of one per
+// request, which is worth more than an order of magnitude in offers per
+// second (docs/PERFORMANCE.md, "Wire"). The frame stream flushes by the
+// same rule: when no further frame is queued. A pipelining client must
+// keep reading while it writes bursts larger than the socket buffers,
+// as with any pipelined protocol. A request line is at most 1 MiB: a
+// longer one gets a bad-request reply and the connection is closed, as
+// it is when a write to the client fails.
+//
+// encoding/json defines the protocol. Lines in the shape above — one
+// flat object, these keys spelled exactly, integer and plain string
+// values — take a small allocation-free decoder that yields exactly
+// what encoding/json would (wire.go, FuzzParseRequest); every other
+// line, valid or not, goes to encoding/json itself.
 //
 // Management plane: -metrics addr starts an HTTP listener serving
 // /metrics (the service's live instruments — per-shard epoch-latency
@@ -254,7 +277,10 @@ type request struct {
 	Policy string `json:"policy"`
 }
 
-// response is one reply line.
+// response is one reply line. The two replies a busy connection is made
+// of are not rendered from it: an accepted offer is the static ackLine
+// and a step's frames are appended by appendStepReply, both held to this
+// struct's encoding by TestFrameEncoderMatchesJSON.
 type response struct {
 	OK       bool         `json:"ok"`
 	Error    string       `json:"error,omitempty"`
@@ -325,94 +351,161 @@ type frameJSON struct {
 	BacklogBits int64  `json:"backlog_bits"`
 }
 
-func toFrameJSON(f hybridsched.ServiceFrame) frameJSON {
-	return frameJSON{
-		Epoch:       f.Epoch,
-		Shard:       f.Shard,
-		Match:       f.Match,
-		Pairs:       f.Pairs,
-		ServedBits:  f.ServedBits,
-		BacklogBits: f.BacklogBits,
+// wireConn is one client connection: a line reader over its input, one
+// buffered writer every reply goes through, and the scratch the hot
+// replies are encoded in.
+type wireConn struct {
+	d    *daemon
+	in   lineReader
+	w    *bufio.Writer
+	enc  *json.Encoder // the cold replies; it writes into w
+	slow request       // encoding/json's target, kept here so the fast path does not allocate one
+	out  []byte        // append-encoded step replies and subscriber frames
+}
+
+// serveConn answers one connection's request lines in order until it
+// ends: the client closes it, a write fails, a line passes maxLineLen, or
+// a subscribe turns it into a frame stream. Replies collect in the
+// writer and go out before any read that can block — whenever the
+// buffered input holds no complete line — and when the writer fills, so
+// a client that waits for each reply gets it at once and a client that
+// pipelines a burst gets the burst's replies in one write.
+func (d *daemon) serveConn(conn net.Conn) {
+	c := &wireConn{
+		d:  d,
+		in: lineReader{src: conn, buf: make([]byte, connBufSize)},
+		w:  bufio.NewWriterSize(conn, connBufSize),
+	}
+	c.enc = json.NewEncoder(c.w)
+	for more := true; more; {
+		line, ok := c.in.next()
+		if !ok {
+			if c.w.Flush() != nil {
+				return
+			}
+			err := c.in.fill()
+			if err == nil {
+				continue
+			}
+			if err == errLineTooLong {
+				c.reply(response{Error: "bad request: " + err.Error()})
+				break
+			}
+			// The input ended; like bufio.Scanner, serve what it left
+			// unterminated.
+			line, more = c.in.rest(), false
+		}
+		if !c.handle(line) {
+			break
+		}
+	}
+	c.w.Flush() // the connection is over either way
+}
+
+// reply writes a cold reply through encoding/json and reports whether
+// the connection is still writable.
+func (c *wireConn) reply(resp response) bool {
+	return c.enc.Encode(resp) == nil
+}
+
+// write writes an already encoded reply line.
+func (c *wireConn) write(line []byte) bool {
+	_, err := c.w.Write(line)
+	return err == nil
+}
+
+// handle answers one request line and reports whether the connection
+// goes on. The selection between the two decoders is made by the line
+// itself: what parseRequest does not accept is encoding/json's.
+func (c *wireConn) handle(line []byte) bool {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 {
+		return true
+	}
+	req, ok := parseRequest(line)
+	if !ok {
+		c.slow = request{}
+		if err := json.Unmarshal(line, &c.slow); err != nil {
+			return c.reply(response{Error: "bad request: " + err.Error()})
+		}
+		req = c.slow
+	}
+	svc := c.d.svc
+	switch req.Op {
+	case "offer":
+		if err := svc.OfferShard(req.Shard, req.Src, req.Dst, hybridsched.Size(req.Bits)); err != nil {
+			return c.reply(response{Error: err.Error()})
+		}
+		return c.write(ackLine)
+	case "stats":
+		return c.reply(response{OK: true, Stats: toShardStats(svc.Stats())})
+	case "status":
+		st := c.d.status()
+		return c.reply(response{OK: true, Status: &st})
+	case "step":
+		frames, err := svc.Step() // caller-owned frames
+		if err != nil {
+			return c.reply(response{Error: err.Error()})
+		}
+		c.out = appendStepReply(c.out[:0], frames)
+		return c.write(c.out)
+	case "snapshot":
+		var buf bytes.Buffer
+		if err := svc.Snapshot(&buf); err != nil {
+			return c.reply(response{Error: err.Error()})
+		}
+		return c.reply(response{OK: true, Snapshot: base64.StdEncoding.EncodeToString(buf.Bytes())})
+	case "subscribe":
+		policy := hybridsched.DropOldestFrame
+		switch req.Policy {
+		case "", "oldest":
+		case "newest":
+			policy = hybridsched.DropNewestFrame
+		default:
+			return c.reply(response{Error: fmt.Sprintf("unknown policy %q", req.Policy)})
+		}
+		buffer := req.Buffer
+		if buffer <= 0 {
+			buffer = 64
+		}
+		sub, err := svc.Subscribe(req.Shard, buffer, policy)
+		if err != nil {
+			return c.reply(response{Error: err.Error()})
+		}
+		if c.write(ackLine) {
+			c.stream(sub)
+		}
+		sub.Close()
+		return false
+	default:
+		return c.reply(response{Error: fmt.Sprintf("unknown op %q", req.Op)})
 	}
 }
 
-func (d *daemon) serveConn(conn net.Conn) {
-	svc := d.svc
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	enc := json.NewEncoder(conn)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var req request
-		if err := json.Unmarshal(line, &req); err != nil {
-			enc.Encode(response{Error: "bad request: " + err.Error()})
-			continue
-		}
-		switch req.Op {
-		case "offer":
-			if err := svc.OfferShard(req.Shard, req.Src, req.Dst, hybridsched.Size(req.Bits)); err != nil {
-				enc.Encode(response{Error: err.Error()})
-				continue
-			}
-			enc.Encode(response{OK: true})
-		case "stats":
-			enc.Encode(response{OK: true, Stats: toShardStats(svc.Stats())})
-		case "status":
-			st := d.status()
-			enc.Encode(response{OK: true, Status: &st})
-		case "step":
-			frames, err := svc.Step()
-			if err != nil {
-				enc.Encode(response{Error: err.Error()})
-				continue
-			}
-			out := make([]frameJSON, len(frames))
-			for i, f := range frames {
-				out[i] = toFrameJSON(f) // Step frames are caller-owned
-			}
-			enc.Encode(response{OK: true, Frames: out})
-		case "snapshot":
-			var buf bytes.Buffer
-			if err := svc.Snapshot(&buf); err != nil {
-				enc.Encode(response{Error: err.Error()})
-				continue
-			}
-			enc.Encode(response{OK: true, Snapshot: base64.StdEncoding.EncodeToString(buf.Bytes())})
-		case "subscribe":
-			policy := hybridsched.DropOldestFrame
-			switch req.Policy {
-			case "", "oldest":
-			case "newest":
-				policy = hybridsched.DropNewestFrame
-			default:
-				enc.Encode(response{Error: fmt.Sprintf("unknown policy %q", req.Policy)})
-				continue
-			}
-			buffer := req.Buffer
-			if buffer <= 0 {
-				buffer = 64
-			}
-			sub, err := svc.Subscribe(req.Shard, buffer, policy)
-			if err != nil {
-				enc.Encode(response{Error: err.Error()})
-				continue
-			}
-			enc.Encode(response{OK: true})
-			// The connection is now a one-way frame stream; it ends when
-			// the client disconnects (the write fails) or the service
-			// closes (the channel drains).
-			for f := range sub.Frames() {
-				if err := enc.Encode(toFrameJSON(f)); err != nil {
-					break
-				}
-			}
-			sub.Close()
-			return
+// stream turns the connection into a one-way frame stream; whatever
+// else the client sent is never read. It ends when the client
+// disconnects (a write fails) or the service closes (the channel
+// drains). The flush rule is the request loop's: frames collect in the
+// writer while more are queued and go out before the wait for the next.
+func (c *wireConn) stream(sub *hybridsched.ServiceSubscription) {
+	frames := sub.Frames()
+	for {
+		var f hybridsched.ServiceFrame
+		var ok bool
+		select {
+		case f, ok = <-frames:
 		default:
-			enc.Encode(response{Error: fmt.Sprintf("unknown op %q", req.Op)})
+			if c.w.Flush() != nil {
+				return
+			}
+			f, ok = <-frames
+		}
+		if !ok {
+			return
+		}
+		c.out = append(appendFrame(c.out[:0], f), '\n')
+		if !c.write(c.out) {
+			return
 		}
 	}
 }

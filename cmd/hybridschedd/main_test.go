@@ -7,6 +7,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -65,6 +66,17 @@ func (c *client) call(req request) response {
 		c.t.Fatal(err)
 	}
 	return c.readResponse()
+}
+
+// send writes raw bytes — any number of lines, or part of one — in one
+// Write. Replies must arrive within the deadline it sets: a daemon that
+// sits on a reply fails the test instead of hanging it.
+func (c *client) send(raw string) {
+	c.t.Helper()
+	c.conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := c.conn.Write([]byte(raw)); err != nil {
+		c.t.Fatal(err)
+	}
 }
 
 func (c *client) readResponse() response {
@@ -171,6 +183,123 @@ func TestDaemonProtocol(t *testing.T) {
 	}
 	if resp := c.call(request{Op: "subscribe", Policy: "sideways"}); resp.OK {
 		t.Fatalf("bad policy accepted: %+v", resp)
+	}
+}
+
+// TestPipelinedRequests: N request lines in one write yield N replies in
+// request order, whichever decoder and whichever encoder each one takes.
+func TestPipelinedRequests(t *testing.T) {
+	dial := startDaemon(t, hybridsched.ServiceConfig{Ports: 8, Algorithm: "islip", SlotBits: 1000})
+	c := dial()
+	c.send(strings.Join([]string{
+		`{"op":"offer","src":2,"dst":6,"bits":1500}`,
+		`{"op":"offer","src":0,"dst":99,"bits":1}`,
+		`{"OP":"offer","Src":1,"dst":3,"bits":700}`, // encoding/json folds key case; the fast decoder does not
+		`not json`,
+		``,
+		`{"op":"step"}`,
+		`{"op":"nope"}`,
+		`{"op":"stats"}`,
+		`{"op":"offer","src":4,"dst":5,"bits":1}`,
+	}, "\n") + "\n")
+
+	if resp := c.readResponse(); !resp.OK {
+		t.Fatalf("offer: %+v", resp)
+	}
+	if resp := c.readResponse(); resp.OK || !strings.Contains(resp.Error, "outside") {
+		t.Fatalf("out-of-range offer: %+v", resp)
+	}
+	if resp := c.readResponse(); !resp.OK {
+		t.Fatalf("case-folded offer: %+v", resp)
+	}
+	if resp := c.readResponse(); resp.OK || !strings.HasPrefix(resp.Error, "bad request: ") {
+		t.Fatalf("malformed line: %+v", resp)
+	}
+	// The blank line has no reply.
+	resp := c.readResponse()
+	if !resp.OK || len(resp.Frames) != 1 || resp.Frames[0].Match[2] != 6 || resp.Frames[0].Match[1] != 3 ||
+		resp.Frames[0].ServedBits != 1700 || resp.Frames[0].BacklogBits != 500 {
+		t.Fatalf("step: %+v", resp)
+	}
+	if resp := c.readResponse(); resp.OK || resp.Error != `unknown op "nope"` {
+		t.Fatalf("unknown op: %+v", resp)
+	}
+	if resp := c.readResponse(); !resp.OK || len(resp.Stats) != 1 || resp.Stats[0].OfferedBits != 2200 {
+		t.Fatalf("stats: %+v", resp)
+	}
+	if resp := c.readResponse(); !resp.OK {
+		t.Fatalf("last offer: %+v", resp)
+	}
+
+	// A burst larger than the daemon's buffers: one reply each, none lost
+	// where the buffers wrap.
+	const burst = 3000
+	c.send(strings.Repeat(`{"op":"offer","src":1,"dst":2,"bits":10}`+"\n", burst) + `{"op":"stats"}` + "\n")
+	for i := 0; i < burst; i++ {
+		if resp := c.readResponse(); !resp.OK || resp.Stats != nil {
+			t.Fatalf("burst reply %d: %+v", i, resp)
+		}
+	}
+	if resp := c.readResponse(); !resp.OK || resp.Stats[0].OfferedBits != 2201+10*burst {
+		t.Fatalf("stats after the burst: %+v", resp)
+	}
+}
+
+// TestReplyBeforeLineCompleted is the flush rule: a complete request
+// followed by half a line is answered before the daemon waits for the
+// rest of the line — the half line must not hold the reply back.
+func TestReplyBeforeLineCompleted(t *testing.T) {
+	dial := startDaemon(t, hybridsched.ServiceConfig{Ports: 8, Algorithm: "islip", SlotBits: 1000})
+	c := dial()
+	c.send(`{"op":"offer","src":2,"dst":6,"bits":1500}` + "\n" + `{"op":"st`)
+	if resp := c.readResponse(); !resp.OK {
+		t.Fatalf("offer: %+v", resp)
+	}
+	c.send(`ep"}` + "\n")
+	if resp := c.readResponse(); !resp.OK || len(resp.Frames) != 1 || resp.Frames[0].Match[2] != 6 {
+		t.Fatalf("step: %+v", resp)
+	}
+}
+
+// TestLoneStepReachesSubscriber: the subscriber stream flushes when its
+// channel runs empty, so one frame arrives without any further traffic
+// to push it out.
+func TestLoneStepReachesSubscriber(t *testing.T) {
+	dial := startDaemon(t, hybridsched.ServiceConfig{Ports: 8, Algorithm: "islip", SlotBits: 1000})
+	sub := dial()
+	sub.send(`{"op":"subscribe"}` + "\n")
+	if resp := sub.readResponse(); !resp.OK {
+		t.Fatalf("subscribe: %+v", resp)
+	}
+	if resp := dial().call(request{Op: "step"}); !resp.OK {
+		t.Fatalf("step: %+v", resp)
+	}
+	if f := sub.readFrame(); f.Epoch != 1 || len(f.Match) != 8 {
+		t.Fatalf("streamed frame: %+v", f)
+	}
+}
+
+// TestSubscribeBufferRefused: a subscribe asking for a channel no
+// machine can allocate used to panic the whole daemon in makechan. It is
+// an error reply now, through either decoder, and the connection and the
+// daemon go on serving.
+func TestSubscribeBufferRefused(t *testing.T) {
+	dial := startDaemon(t, hybridsched.ServiceConfig{Ports: 8, Algorithm: "islip", SlotBits: 1000})
+	c := dial()
+	for _, line := range []string{
+		`{"op":"subscribe","buffer":4611686018427387904}`,
+		`{"op":"subscribe","buffer":4097}`,
+	} {
+		c.send(line + "\n")
+		if resp := c.readResponse(); resp.OK || !strings.Contains(resp.Error, "buffer") {
+			t.Fatalf("%s: %+v", line, resp)
+		}
+	}
+	if resp := c.call(request{Op: "stats"}); !resp.OK || resp.Stats[0].Subscribers != 0 {
+		t.Fatalf("stats after refused subscribes: %+v", resp)
+	}
+	if resp := dial().call(request{Op: "subscribe", Buffer: 4096}); !resp.OK {
+		t.Fatalf("subscribe at the cap: %+v", resp)
 	}
 }
 

@@ -563,14 +563,24 @@ type Subscription struct {
 	closed  bool // guarded by s.subMu
 }
 
+// MaxSubscriptionBuffer is the deepest frame buffer Subscribe grants. The
+// depth arrives from outside the process (the daemon's subscribe op), and
+// the channel is allocated up front: unbounded, one request line could
+// exhaust memory or panic makechan.
+const MaxSubscriptionBuffer = 4096
+
 // Subscribe registers a frame stream with the given buffer depth
-// (minimum 1) and drop policy. The scheduler never blocks on a slow
+// (minimum 1, at most MaxSubscriptionBuffer — more is an error, not
+// clamped) and drop policy. The scheduler never blocks on a slow
 // subscriber: when the buffer is full the policy decides which frame is
 // dropped, and Dropped counts the casualties. The channel is closed by
 // Subscription.Close or Scheduler.Close.
 func (s *Scheduler) Subscribe(buffer int, policy DropPolicy) (*Subscription, error) {
 	if buffer < 1 {
 		buffer = 1
+	}
+	if buffer > MaxSubscriptionBuffer {
+		return nil, fmt.Errorf("serve: subscription buffer %d exceeds the maximum %d", buffer, MaxSubscriptionBuffer)
 	}
 	sub := &Subscription{s: s, ch: make(chan Frame, buffer), policy: policy}
 	s.subMu.Lock()

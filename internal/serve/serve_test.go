@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -161,6 +162,27 @@ func TestSubscribeDelivery(t *testing.T) {
 	if _, err := s.Step(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSubscribeBufferCap: the depth comes from outside the process, and
+// make(chan Frame, math.MaxInt) panics (a merely large depth exhausts memory).
+// Past the cap Subscribe refuses, it does not clamp.
+func TestSubscribeBufferCap(t *testing.T) {
+	s := newTestScheduler(t, Config{Ports: 4, Algorithm: "islip", SlotBits: 100})
+	for _, depth := range []int{MaxSubscriptionBuffer + 1, math.MaxInt} {
+		if sub, err := s.Subscribe(depth, DropOldest); err == nil {
+			sub.Close()
+			t.Errorf("Subscribe(%d) accepted", depth)
+		}
+	}
+	if got := s.Stats().Subscribers; got != 0 {
+		t.Fatalf("refused subscriptions registered: %d subscribers", got)
+	}
+	sub, err := s.Subscribe(MaxSubscriptionBuffer, DropOldest)
+	if err != nil {
+		t.Fatalf("Subscribe at the cap: %v", err)
+	}
+	sub.Close()
 }
 
 func TestDropPolicies(t *testing.T) {
