@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint bench-smoke bench-json bench-compare race-smoke sweep-smoke docs-check check
+.PHONY: all build test vet fmt-check lint bench-smoke bench-json bench-compare bench-check race-smoke sweep-smoke docs-check check
 
 all: build
 
@@ -38,12 +38,13 @@ fmt-check:
 # capture/replay injection path, the matching benchmarks
 # (BenchmarkMatch*, at up to 512 ports) the scheduling core's
 # nonzero-iteration hot path, the serve benchmarks the online
-# service's allocation-free epoch loop, and the wire benchmark the
+# service's allocation-free epoch loop and its epoch boundary on both
+# sides of the replay-or-copy rule, and the wire benchmark the
 # daemon's connection loop (512 pipelined offers and a step per op over
 # loopback TCP).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventQueue|BenchmarkObserverStream|BenchmarkEmpiricalSampler|BenchmarkTraceReplay|BenchmarkMatch|BenchmarkServiceEpoch' -benchtime 0.1s .
-	$(GO) test -run '^$$' -bench 'BenchmarkServeEpoch' -benchtime 0.1s ./internal/serve
+	$(GO) test -run '^$$' -bench 'BenchmarkServeEpoch|BenchmarkServeBoundary' -benchmem -benchtime 0.1s ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkWireRound' -benchmem -benchtime 0.1s ./cmd/hybridschedd
 
 # bench-json records the scheduling-core performance trajectory: it runs
@@ -54,10 +55,14 @@ bench-smoke:
 # per-metric minimum (best observed steady state), which keeps the slow
 # n=512 entries stable enough for the 20% bench-compare gate on noisy
 # machines. BENCH_wire.json is the sibling ledger for the daemon's wire:
-# BenchmarkWireRound, one op = one 512-offer pipelined round.
+# BenchmarkWireRound, one op = one 512-offer pipelined round; and
+# BENCH_serve.json the one for the service's epoch boundary:
+# BenchmarkServeBoundary, one op = an offer burst and a Step, journal
+# replay at 2048 ports and full copy at 512.
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatch$$|BenchmarkFrameDecompose$$' -benchmem -benchtime 0.1s -count 10 . | $(GO) run ./cmd/benchjson -o BENCH_core.json
 	$(GO) test -run '^$$' -bench 'BenchmarkWireRound$$' -benchmem -benchtime 0.1s -count 10 ./cmd/hybridschedd | $(GO) run ./cmd/benchjson -o BENCH_wire.json
+	$(GO) test -run '^$$' -bench 'BenchmarkServeBoundary$$' -benchmem -benchtime 0.1s -count 10 ./internal/serve | $(GO) run ./cmd/benchjson -o BENCH_serve.json
 
 # bench-compare is the perf-regression gate on that trajectory: it
 # re-runs the same benchmark set and diffs against the committed
@@ -70,11 +75,22 @@ bench-json:
 # min-of-10 collapse and drift normalization, and a deliberate hot-path
 # pessimization lands far above either bound. Run this before
 # bench-json — bench-json rewrites the baseline the gate diffs against.
-# The wire ledger is gated by the same rules; with one entry there is no
-# suite median to normalize by, so its ns/op ratio is gated raw.
+# The wire and serve ledgers are gated by the same rules; with one and
+# two entries there is no suite median to normalize by, so their ns/op
+# ratios are gated raw.
 bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatch$$|BenchmarkFrameDecompose$$' -benchmem -benchtime 0.1s -count 10 . | $(GO) run ./cmd/benchjson -compare BENCH_core.json -tolerance 0.40
 	$(GO) test -run '^$$' -bench 'BenchmarkWireRound$$' -benchmem -benchtime 0.1s -count 10 ./cmd/hybridschedd | $(GO) run ./cmd/benchjson -compare BENCH_wire.json -tolerance 0.40
+	$(GO) test -run '^$$' -bench 'BenchmarkServeBoundary$$' -benchmem -benchtime 0.1s -count 10 ./internal/serve | $(GO) run ./cmd/benchjson -compare BENCH_serve.json -tolerance 0.40
+
+# bench-check vets and tests the repository benchmark's own module
+# (bench/, nested, so `go test ./...` at the root does not reach it). Its
+# test runs every serve workload traced for a moment, which holds the
+# service's frames against the harness's shadow of the epoch loop: a
+# change to serve internals that breaks that equality fails here, in
+# about ten seconds, before a benchmark run finds it.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # race-smoke runs the concurrency-bearing layers under the race detector:
 # the parallel execution engine and the root fan-out/observer API,

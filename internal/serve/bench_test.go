@@ -19,7 +19,7 @@ func benchOffer(b *testing.B, s *Scheduler, n int) {
 }
 
 // BenchmarkServeEpoch prices one epoch of the online scheduling loop —
-// offer refill, snapshot copy, matching, demand drain — with no
+// offer refill, snapshot boundary, matching, demand drain — with no
 // subscribers attached. The per-slot arbiters are allocation-free on
 // this path at fabric port counts (the acceptance bar for the serve
 // subsystem); run with -benchmem to see it.
@@ -47,6 +47,60 @@ func BenchmarkServeEpoch(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkServeBoundary prices the epoch boundary on either side of its
+// selection rule, under tdma so the matcher stays out of the figure. One
+// op is an offer burst and a Step over a standing backlog on 8 peers per
+// port. replay is the serve_snapshot shape of the repository benchmark:
+// 2048 ports, 256 offers of 300 bits taken round-robin from the 16384
+// cells, so the journal is a sixtieth of the matrix. copy is the
+// serve_ingest shape: 512 ports, every one of the 4096 cells offered
+// every epoch, which overflows the journal. Both are 0 allocs/op; the
+// committed figures are in BENCH_serve.json.
+func BenchmarkServeBoundary(b *testing.B) {
+	for _, bc := range []struct {
+		name      string
+		n, offers int
+		bits      int64
+	}{
+		{"replay/n=2048", 2048, 256, 300},
+		{"copy/n=512", 512, 8 * 512, 1200},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			n := bc.n
+			s, err := New(Config{Ports: n, Algorithm: "tdma", SlotBits: 12000})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			cursor := 0
+			burst := func(count int, bits int64) {
+				for ; count > 0; count-- {
+					i, k := cursor%n, cursor/n
+					if cursor++; cursor == 8*n {
+						cursor = 0
+					}
+					if err := s.Offer(i, (i+1+k*7)%n, bits); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			// The standing backlog, and the one full copy that picks it up.
+			burst(8*n, 9600)
+			if _, err := s.Step(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				burst(bc.offers, bc.bits)
+				if _, err := s.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

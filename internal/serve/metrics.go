@@ -28,6 +28,9 @@ import (
 //	hybridsched_serve_dropped_frames_total   counter   {shard, policy}
 //	hybridsched_serve_frame_decompose_latency_ns  histogram {shard}
 //	hybridsched_serve_frames_computed_total       counter   {shard}
+//	hybridsched_serve_snapshot_latency_ns    histogram {shard}
+//	hybridsched_serve_snapshots_total        counter   {shard, mode}
+//	hybridsched_serve_snapshot_cells_total   counter   {shard}
 
 // instruments is one scheduler's bound slice of the registry.
 type instruments struct {
@@ -47,6 +50,14 @@ type instruments struct {
 	// scheduling algorithms and only on epochs that computed a frame.
 	frameLatency   *metrics.Histogram
 	framesComputed *metrics.Counter
+
+	// The epoch boundary: how long bringing the snapshot up to date took,
+	// which way it was done (journal replay or full copy — the hit rate of
+	// the write journal), and how many cells it wrote.
+	snapshotLatency *metrics.Histogram
+	snapshotsDelta  *metrics.Counter
+	snapshotsFull   *metrics.Counter
+	snapshotCells   *metrics.Counter
 }
 
 // newInstruments registers (or re-binds, after a restore) the shard's
@@ -83,6 +94,16 @@ func newInstruments(r *metrics.Registry, shard int) *instruments {
 			"Latency the epoch paid for circuit-frame decomposition (refill epochs only), in nanoseconds.", sh),
 		framesComputed: r.Counter("hybridsched_serve_frames_computed_total",
 			"Circuit frames decomposed by the scheduling algorithm.", sh),
+		snapshotLatency: r.Histogram("hybridsched_serve_snapshot_latency_ns",
+			"Latency of bringing the demand snapshot up to date at the epoch boundary, in nanoseconds.", sh),
+		snapshotsDelta: r.Counter("hybridsched_serve_snapshots_total",
+			"Epoch-boundary snapshots, by mode: delta replays the write journal, full copies the matrix.",
+			sh, metrics.Label{Key: "mode", Value: "delta"}),
+		snapshotsFull: r.Counter("hybridsched_serve_snapshots_total",
+			"Epoch-boundary snapshots, by mode: delta replays the write journal, full copies the matrix.",
+			sh, metrics.Label{Key: "mode", Value: "full"}),
+		snapshotCells: r.Counter("hybridsched_serve_snapshot_cells_total",
+			"Cells written into the snapshot at epoch boundaries (journal entries replayed, or nonzeros copied).", sh),
 	}
 }
 
@@ -114,6 +135,18 @@ func (in *instruments) observeEpoch(elapsed time.Duration, pairs int, servedBits
 func (in *instruments) observeFrames(elapsed time.Duration, computed int64) {
 	in.frameLatency.Observe(int64(elapsed))
 	in.framesComputed.Add(uint64(computed))
+}
+
+// observeSnapshot records one epoch boundary. Hot path: atomic updates
+// only.
+func (in *instruments) observeSnapshot(elapsed time.Duration, cells int, full bool) {
+	in.snapshotLatency.Observe(int64(elapsed))
+	if full {
+		in.snapshotsFull.Inc()
+	} else {
+		in.snapshotsDelta.Inc()
+	}
+	in.snapshotCells.Add(uint64(cells))
 }
 
 // observeDrop records one dropped frame under the subscription's policy.

@@ -199,3 +199,75 @@ func TestServeFrameDecomposeMetrics(t *testing.T) {
 		t.Errorf("frames-computed not exposed at zero for per-slot arbiter:\n%s", buf.String())
 	}
 }
+
+// TestServeSnapshotMetrics: the epoch-boundary instruments say which way
+// each boundary went. A saturated run re-offers every cell every epoch,
+// which overflows the journal, so every boundary is a full copy; a
+// sparse run copies once, after the burst that builds its backlog, and
+// replays the journal from then on.
+func TestServeSnapshotMetrics(t *testing.T) {
+	const n, epochs = 32, 20
+	offerAll := func(s *Scheduler, bits int64) {
+		for i := 0; i < n; i++ {
+			for k := 1; k <= 8; k++ {
+				if err := s.Offer(i, (i+k)%n, bits); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name        string
+		offer       func(s *Scheduler, e int)
+		full, delta int
+		minCells    int
+	}{
+		{
+			name:     "saturated",
+			offer:    func(s *Scheduler, e int) { offerAll(s, 1500*8) },
+			full:     epochs,
+			minCells: epochs * 8 * n, // every copy carries every cell
+		},
+		{
+			name: "sparse",
+			offer: func(s *Scheduler, e int) {
+				if e == 0 {
+					offerAll(s, 100*1500*8)
+				} else if err := s.Offer(e%n, (e+1)%n, 1500*8); err != nil {
+					t.Fatal(err)
+				}
+			},
+			full:     1,
+			delta:    epochs - 1,
+			minCells: 8*n + (epochs - 1), // the copy, then at least the offered cell per replay
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			s := newTestScheduler(t, Config{Ports: n, Algorithm: "islip", SlotBits: 1500 * 8, Metrics: reg})
+			for e := 0; e < epochs; e++ {
+				tc.offer(s, e)
+				if _, err := s.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := reg.WriteText(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out := buf.String()
+			for _, want := range []string{
+				`hybridsched_serve_snapshots_total{mode="full",shard="0"} ` + itoa(tc.full),
+				`hybridsched_serve_snapshots_total{mode="delta",shard="0"} ` + itoa(tc.delta),
+				`hybridsched_serve_snapshot_latency_ns_bucket{shard="0",le="+Inf"} ` + itoa(epochs),
+			} {
+				if !strings.Contains(out, want+"\n") {
+					t.Errorf("exposition missing %q in:\n%s", want, out)
+				}
+			}
+			if got := s.ins.snapshotCells.Value(); got < uint64(tc.minCells) {
+				t.Errorf("snapshot cells = %d, want at least %d", got, tc.minCells)
+			}
+		})
+	}
+}

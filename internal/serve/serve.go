@@ -14,6 +14,14 @@
 // subscribes — one epoch at fabric port counts is allocation-free in
 // steady state for the per-slot arbiters (BenchmarkServeEpoch).
 //
+// The snapshot is kept, not rebuilt: every write to the pending matrix
+// also appends its cell to a bounded journal, and the epoch boundary
+// replays the journal into the snapshot, so a boundary costs what
+// changed since the last one rather than what exists. When the journal
+// overflowed, after Restore, or when it is long against the matrix's
+// nonzero count, the boundary is one full copy instead (syncSnapshot,
+// BenchmarkServeBoundary).
+//
 // Scheduler state checkpoints through the existing HSTR trace machinery
 // (Snapshot/Restore): the pending backlog serializes as ordinary trace
 // records, so a live service can be checkpointed, shipped, and restored
@@ -163,9 +171,18 @@ type Scheduler struct {
 	// type switch. Nil for per-slot arbiters.
 	framer interface{ Frames() int64 }
 
-	mu      sync.Mutex // guards pending and closed
+	mu      sync.Mutex // guards pending, the journal, the bit counters and closed
 	pending *demand.Matrix
 	closed  bool
+	offered int64
+	served  int64
+
+	// journal lists the cells written in pending since the last epoch
+	// boundary (duplicates allowed): snap differs from pending at those
+	// cells only. Its capacity is fixed at construction; a write that does
+	// not fit sets stale instead, and the next boundary copies in full.
+	journal []cell
+	stale   bool
 
 	// sourceOffer is offerFromSource bound once at construction, so the
 	// epoch loop can hand Source.Advance a callback without allocating a
@@ -175,10 +192,8 @@ type Scheduler struct {
 	stepMu sync.Mutex // serializes epochs
 	snap   *demand.Matrix
 
-	epochs  atomic.Uint64
-	idle    atomic.Uint64
-	offered atomic.Int64
-	served  atomic.Int64
+	epochs atomic.Uint64
+	idle   atomic.Uint64
 
 	subMu   sync.Mutex
 	subs    []*Subscription
@@ -203,6 +218,7 @@ func New(cfg Config) (*Scheduler, error) {
 		alg:     alg,
 		pending: demand.FromPool(cfg.Ports),
 		snap:    demand.FromPool(cfg.Ports),
+		journal: make([]cell, 0, journalPerPort*cfg.Ports),
 		done:    make(chan struct{}),
 	}
 	if cfg.Metrics != nil {
@@ -240,15 +256,16 @@ func (s *Scheduler) Offer(src, dst int, bits int64) error {
 		return nil // self-traffic never crosses the fabric
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return ErrClosed
 	}
-	s.pending.Add(src, dst, bits)
-	s.offered.Add(bits)
+	s.addPending(src, dst, bits)
+	s.offered += bits
 	if s.ins != nil {
 		s.ins.observeOffer(bits)
 	}
+	s.mu.Unlock()
 	return nil
 }
 
@@ -274,11 +291,11 @@ func (s *Scheduler) OfferRecords(recs []trace.Record) error {
 		if r.Src == r.Dst {
 			continue
 		}
-		s.pending.Add(int(r.Src), int(r.Dst), int64(r.Size))
+		s.addPending(int(r.Src), int(r.Dst), int64(r.Size))
 		total += int64(r.Size)
 		n++
 	}
-	s.offered.Add(total)
+	s.offered += total
 	if s.ins != nil {
 		s.ins.offers.Add(n)
 		s.ins.offeredBits.Add(uint64(total))
@@ -293,8 +310,8 @@ func (s *Scheduler) offerLocked(src, dst int, bits int64) {
 		src < 0 || src >= s.cfg.Ports || dst < 0 || dst >= s.cfg.Ports {
 		return
 	}
-	s.pending.Add(src, dst, bits)
-	s.offered.Add(bits)
+	s.addPending(src, dst, bits)
+	s.offered += bits
 	if s.ins != nil {
 		s.ins.observeOffer(bits)
 	}
@@ -310,6 +327,51 @@ func (s *Scheduler) offerFromSource(src, dst int, bits int64) {
 		s.offerLocked(src, dst, bits)
 	}
 	s.mu.Unlock()
+}
+
+// cell is one journaled write to the pending matrix.
+type cell struct{ src, dst int32 }
+
+// journalPerPort sizes the write journal: journalPerPort*Ports cells,
+// allocated once, so its memory is bounded whatever the offered load. An
+// epoch that writes more than that takes the full copy.
+const journalPerPort = 4
+
+// addPending is the only writer of the pending matrix between Restores:
+// it applies the delta and journals the cell so the next epoch boundary
+// can bring the snapshot up to date without a full copy. The caller
+// holds s.mu.
+func (s *Scheduler) addPending(src, dst int, delta int64) {
+	s.pending.Add(src, dst, delta)
+	if len(s.journal) == cap(s.journal) {
+		s.stale = true
+		return
+	}
+	s.journal = append(s.journal, cell{int32(src), int32(dst)})
+}
+
+// syncSnapshot makes snap equal to pending at the epoch boundary and
+// reports how many cells it wrote and whether it copied in full. Replay
+// writes pending's current value at every journaled cell — Set keeps the
+// snapshot's column lists, bitsets and sums itself, so order and
+// duplicates do not matter. A full copy is taken when the journal missed
+// a write (overflow, Restore) or when replay would touch more than half
+// of pending's nonzeros, where the sequential copy is the faster of the
+// two. The caller holds s.stepMu and s.mu.
+func (s *Scheduler) syncSnapshot() (cells int, full bool) {
+	cells = len(s.journal)
+	full = s.stale || 2*cells > s.pending.NonZeros()
+	if full {
+		s.snap.CopyFrom(s.pending)
+		cells = s.pending.NonZeros()
+	} else {
+		for _, c := range s.journal {
+			s.snap.Set(int(c.src), int(c.dst), s.pending.At(int(c.src), int(c.dst)))
+		}
+	}
+	s.journal = s.journal[:0]
+	s.stale = false
+	return cells, full
 }
 
 // Step runs one epoch synchronously: advance the Source (if any),
@@ -359,14 +421,22 @@ func (s *Scheduler) step() (Frame, error) {
 		s.mu.Unlock()
 		return Frame{}, ErrClosed
 	}
-	s.snap.CopyFrom(s.pending)
+	var tb time.Time
+	if s.ins != nil {
+		tb = stepStart()
+	}
+	cells, full := s.syncSnapshot()
 	s.mu.Unlock()
+	if s.ins != nil {
+		s.ins.observeSnapshot(stepElapsed(tb), cells, full)
+	}
 
 	m := s.schedule(s.snap)
 
 	// Drain served demand from the live matrix. Offers since the snapshot
 	// only add, and this is the only subtractor, so pending >= snap holds
-	// for every pair being drained.
+	// for every pair being drained. The drain is journaled like any other
+	// write; the next boundary applies it to the snapshot.
 	var servedBits int64
 	var pairs int
 	s.mu.Lock()
@@ -384,14 +454,14 @@ func (s *Scheduler) step() (Frame, error) {
 			take = s.cfg.SlotBits
 		}
 		if take > 0 {
-			s.pending.Add(in, out, -take)
+			s.addPending(in, out, -take)
 			servedBits += take
 		}
 	}
 	backlog := s.pending.Total()
+	s.served += servedBits
 	s.mu.Unlock()
 
-	s.served.Add(servedBits)
 	epoch := s.epochs.Add(1)
 	if pairs == 0 {
 		s.idle.Add(1)
@@ -411,10 +481,9 @@ func (s *Scheduler) step() (Frame, error) {
 	return f, nil
 }
 
-// schedule runs the matching algorithm on one snapshot — the single
-// entry point both the sequential step and the pipeline's match stage
-// use. For frame decomposition algorithms with instrumentation enabled
-// it attributes decomposition work: when the Schedule call computed one
+// schedule runs the matching algorithm on the epoch's snapshot. For
+// frame decomposition algorithms with instrumentation enabled it
+// attributes decomposition work: when the Schedule call computed one
 // or more frames (a refill, speculative or synchronous), the call's
 // latency lands in the frame-decompose histogram and the frame counter
 // advances. Pure playback epochs record nothing. Recording is atomic
@@ -465,11 +534,14 @@ func (s *Scheduler) Run(ctx context.Context, interval time.Duration) error {
 
 // Stats returns a point-in-time activity summary.
 func (s *Scheduler) Stats() Stats {
+	// Offered, served and backlog are one cut under the demand lock, so
+	// OfferedBits == ServedBits + BacklogBits holds in every Stats.
 	s.mu.Lock()
 	backlog := int64(0)
 	if !s.closed {
 		backlog = s.pending.Total()
 	}
+	offered, served := s.offered, s.served
 	s.mu.Unlock()
 	s.subMu.Lock()
 	subs := len(s.subs)
@@ -477,8 +549,8 @@ func (s *Scheduler) Stats() Stats {
 	st := Stats{
 		Epochs:      s.epochs.Load(),
 		IdleEpochs:  s.idle.Load(),
-		OfferedBits: s.offered.Load(),
-		ServedBits:  s.served.Load(),
+		OfferedBits: offered,
+		ServedBits:  served,
 		BacklogBits: backlog,
 		Subscribers: subs,
 		Dropped:     s.dropped.Load(),

@@ -117,6 +117,11 @@ func (s *Scheduler) restoreShard(recs []trace.Record, shard int) error {
 	if !sawMarker {
 		return fmt.Errorf("serve: restore: no epoch marker for shard %d", shard)
 	}
+	// stepMu first, the order Step takes them: an epoch in flight holds a
+	// matching computed from the old demand and would drain the restored
+	// matrix by it, then add to the served count zeroed here.
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -131,10 +136,14 @@ func (s *Scheduler) restoreShard(recs []trace.Record, shard int) error {
 		s.pending.Add(int(r.Src), int(r.Dst), int64(r.Size))
 		total += int64(r.Size)
 	}
+	// pending was replaced wholesale, not written cell by cell: the
+	// journal no longer describes its distance from snap.
+	s.journal = s.journal[:0]
+	s.stale = true
 	s.alg.Reset()
 	s.epochs.Store(epoch)
 	s.idle.Store(0)
-	s.offered.Store(total)
-	s.served.Store(0)
+	s.offered = total
+	s.served = 0
 	return nil
 }

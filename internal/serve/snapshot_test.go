@@ -131,6 +131,62 @@ func TestRestoreErrors(t *testing.T) {
 	}
 }
 
+// TestRestoreDuringStep restores a checkpoint over and over while another
+// goroutine offers and steps. A restore must wait out the epoch in
+// flight: an epoch that straddled it would drain the restored demand by
+// a matching computed from the old one and add to a served count the
+// restore had just zeroed. Conservation is checked in every Stats along
+// the way — offered, served and backlog are one cut — and at the end.
+func TestRestoreDuringStep(t *testing.T) {
+	const n = 16
+	s := newTestScheduler(t, Config{Ports: n, Algorithm: "islip", SlotBits: 1000})
+	for i := 0; i < n; i++ {
+		for k := 1; k <= 4; k++ {
+			s.Offer(i, (i+k)%n, int64(1500*k))
+		}
+	}
+	var blob bytes.Buffer
+	if err := s.Snapshot(&blob); err != nil {
+		t.Fatal(err)
+	}
+
+	conserved := func() {
+		if st := s.Stats(); st.OfferedBits != st.ServedBits+st.BacklogBits {
+			t.Errorf("conservation violated at epoch %d: offered %d != served %d + backlog %d",
+				st.Epochs, st.OfferedBits, st.ServedBits, st.BacklogBits)
+		}
+	}
+	stop := make(chan struct{})
+	stepped := make(chan struct{})
+	go func() {
+		defer close(stepped)
+		for e := 0; ; e++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := s.Offer(e%n, (e+1+e%3)%n, 700); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := s.Step(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for k := 0; k < 300; k++ {
+		if err := s.Restore(bytes.NewReader(blob.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		conserved()
+	}
+	close(stop)
+	<-stepped
+	conserved()
+}
+
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	mk := func() *Sharded {
 		sh, err := NewSharded(3, 1, Config{Ports: 8, Algorithm: "islip", Seed: 3, SlotBits: 200}, nil)
