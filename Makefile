@@ -38,8 +38,10 @@ fmt-check:
 # capture/replay injection path, the matching benchmarks
 # (BenchmarkMatch*, at up to 512 ports) the scheduling core's
 # nonzero-iteration hot path, the serve benchmarks the online
-# service's allocation-free epoch loop and its epoch boundary on both
-# sides of the replay-or-copy rule, and the wire benchmark the
+# service's allocation-free epoch loop, its epoch boundary on both
+# sides of the replay-or-copy rule and the delta-scheduled ilqf epoch at
+# 2048 ports (BenchmarkServeEpoch matches BenchmarkServeEpochDelta too),
+# and the wire benchmark the
 # daemon's connection loop (512 pipelined offers and a step per op over
 # loopback TCP).
 bench-smoke:
@@ -56,13 +58,16 @@ bench-smoke:
 # n=512 entries stable enough for the 20% bench-compare gate on noisy
 # machines. BENCH_wire.json is the sibling ledger for the daemon's wire:
 # BenchmarkWireRound, one op = one 512-offer pipelined round; and
-# BENCH_serve.json the one for the service's epoch boundary:
-# BenchmarkServeBoundary, one op = an offer burst and a Step, journal
-# replay at 2048 ports and full copy at 512.
+# BENCH_serve.json the one for the service's epoch: BenchmarkServeBoundary,
+# one op = an offer burst and a Step, journal replay at 2048 ports and
+# full copy at 512, and BenchmarkServeEpochDelta, the 2048-port ilqf epoch
+# scheduled from the boundary's change list. Every ledger carries an env
+# stamp (CPU, GOMAXPROCS, Go version) that bench-compare prints, and
+# never gates on, when it differs from the run's.
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatch$$|BenchmarkFrameDecompose$$' -benchmem -benchtime 0.1s -count 10 . | $(GO) run ./cmd/benchjson -o BENCH_core.json
 	$(GO) test -run '^$$' -bench 'BenchmarkWireRound$$' -benchmem -benchtime 0.1s -count 10 ./cmd/hybridschedd | $(GO) run ./cmd/benchjson -o BENCH_wire.json
-	$(GO) test -run '^$$' -bench 'BenchmarkServeBoundary$$' -benchmem -benchtime 0.1s -count 10 ./internal/serve | $(GO) run ./cmd/benchjson -o BENCH_serve.json
+	$(GO) test -run '^$$' -bench 'BenchmarkServeBoundary$$|BenchmarkServeEpochDelta$$' -benchmem -benchtime 0.1s -count 10 ./internal/serve | $(GO) run ./cmd/benchjson -o BENCH_serve.json
 
 # bench-compare is the perf-regression gate on that trajectory: it
 # re-runs the same benchmark set and diffs against the committed
@@ -76,12 +81,12 @@ bench-json:
 # pessimization lands far above either bound. Run this before
 # bench-json — bench-json rewrites the baseline the gate diffs against.
 # The wire and serve ledgers are gated by the same rules; with one and
-# two entries there is no suite median to normalize by, so their ns/op
+# three entries there is no suite median to normalize by, so their ns/op
 # ratios are gated raw.
 bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatch$$|BenchmarkFrameDecompose$$' -benchmem -benchtime 0.1s -count 10 . | $(GO) run ./cmd/benchjson -compare BENCH_core.json -tolerance 0.40
 	$(GO) test -run '^$$' -bench 'BenchmarkWireRound$$' -benchmem -benchtime 0.1s -count 10 ./cmd/hybridschedd | $(GO) run ./cmd/benchjson -compare BENCH_wire.json -tolerance 0.40
-	$(GO) test -run '^$$' -bench 'BenchmarkServeBoundary$$' -benchmem -benchtime 0.1s -count 10 ./internal/serve | $(GO) run ./cmd/benchjson -compare BENCH_serve.json -tolerance 0.40
+	$(GO) test -run '^$$' -bench 'BenchmarkServeBoundary$$|BenchmarkServeEpochDelta$$' -benchmem -benchtime 0.1s -count 10 ./internal/serve | $(GO) run ./cmd/benchjson -compare BENCH_serve.json -tolerance 0.40
 
 # bench-check vets and tests the repository benchmark's own module
 # (bench/, nested, so `go test ./...` at the root does not reach it). Its

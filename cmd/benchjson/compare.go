@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -40,17 +41,23 @@ import (
 // raw ratios are gated directly.
 const minNormalize = 8
 
-// loadBaseline reads a committed benchjson records file.
-func loadBaseline(path string) ([]Record, error) {
+// loadBaseline reads a committed ledger. Files written before the stamp
+// existed are a bare array of records; they load with an empty Env.
+func loadBaseline(path string) (Ledger, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return Ledger{}, err
 	}
-	var recs []Record
-	if err := json.Unmarshal(buf, &recs); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	var l Ledger
+	if bytes.HasPrefix(bytes.TrimSpace(buf), []byte("[")) {
+		err = json.Unmarshal(buf, &l.Benchmarks)
+	} else {
+		err = json.Unmarshal(buf, &l)
 	}
-	return recs, nil
+	if err != nil {
+		return Ledger{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return l, nil
 }
 
 // retiredMatch reports whether name matches one of the -retired

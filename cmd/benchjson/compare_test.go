@@ -255,12 +255,23 @@ func TestLoadBaseline(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.json")
 	writeFile(t, good, `[{"name":"BenchmarkX","ns_op":12.5,"b_op":0,"allocs_op":0}]`)
-	recs, err := loadBaseline(good)
+	// The pre-stamp form, a bare array, still loads — unstamped.
+	l, err := loadBaseline(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Name != "BenchmarkX" || recs[0].NsOp != 12.5 {
-		t.Fatalf("records = %+v", recs)
+	if recs := l.Benchmarks; len(recs) != 1 || recs[0].Name != "BenchmarkX" || recs[0].NsOp != 12.5 || l.Env != (Env{}) {
+		t.Fatalf("ledger = %+v", l)
+	}
+	stamped := filepath.Join(dir, "stamped.json")
+	writeFile(t, stamped, `{"env":{"cpu":"Xeon @ 2.10GHz","gomaxprocs":2,"go":"go1.24.0"},
+		"benchmarks":[{"name":"BenchmarkX","ns_op":12.5,"b_op":0,"allocs_op":0}]}`)
+	l, err = loadBaseline(stamped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Env{"Xeon @ 2.10GHz", 2, "go1.24.0"}); l.Env != want || len(l.Benchmarks) != 1 || l.Benchmarks[0].NsOp != 12.5 {
+		t.Fatalf("ledger = %+v", l)
 	}
 	bad := filepath.Join(dir, "bad.json")
 	writeFile(t, bad, `{not json`)

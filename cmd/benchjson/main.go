@@ -7,7 +7,10 @@
 //
 // Each benchmark line becomes {name, ns_op, b_op, allocs_op}; lines
 // without allocation columns (benchmarks that did not ReportAllocs) keep
-// ns_op and record b_op/allocs_op as -1.
+// ns_op and record b_op/allocs_op as -1. The records sit under
+// "benchmarks" beside an "env" stamp — the CPU model `go test` printed,
+// the GOMAXPROCS suffix of the benchmark names and this toolchain's Go
+// version — so a ledger says where it was measured.
 //
 // With -compare baseline.json the command becomes the perf-regression
 // gate (`make bench-compare`): instead of writing records it diffs the
@@ -19,6 +22,10 @@
 // uniformly slower or faster machine neither trips nor masks the gate:
 //
 //	go test -run '^$' -bench BenchmarkMatch -benchmem . | benchjson -compare BENCH_core.json
+//
+// The stamp takes no part in the gate; when the baseline's differs from
+// the run's (or the baseline predates the stamp) both are printed, so an
+// ns/op diff across hosts is never read as one on the same host.
 package main
 
 import (
@@ -27,9 +34,39 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
+
+// Env says where a ledger was measured.
+type Env struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+func (e Env) String() string {
+	if e == (Env{}) {
+		return "unstamped"
+	}
+	return fmt.Sprintf("cpu %q, GOMAXPROCS %d, %s", e.CPU, e.GOMAXPROCS, e.Go)
+}
+
+// envNote is what -compare prints when the baseline was not measured
+// where this run was; the gate itself never reads a stamp.
+func envNote(baseline, run Env) string {
+	if baseline == run {
+		return ""
+	}
+	return fmt.Sprintf("baseline measured on %v; this run on %v", baseline, run)
+}
+
+// Ledger is the committed file: a stamp and the records.
+type Ledger struct {
+	Env        Env      `json:"env"`
+	Benchmarks []Record `json:"benchmarks"`
+}
 
 // Record is one benchmark measurement.
 type Record struct {
@@ -47,7 +84,8 @@ func main() {
 	retired := flag.String("retired", "", "with -compare: comma-separated baseline entries allowed to be absent from the run (exact names, or prefixes ending in '*') — the deliberate retirement path for renamed or removed benchmarks until bench-json rewrites the baseline")
 	flag.Parse()
 
-	records, err := parse(bufio.NewScanner(os.Stdin))
+	records, env, err := parse(bufio.NewScanner(os.Stdin))
+	env.Go = runtime.Version()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
@@ -63,7 +101,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: -compare: %v\n", err)
 			os.Exit(1)
 		}
-		violations, notes := compare(baseline, records, *tolerance, *byteNoise, splitRetired(*retired))
+		violations, notes := compare(baseline.Benchmarks, records, *tolerance, *byteNoise, splitRetired(*retired))
+		if n := envNote(baseline.Env, env); n != "" {
+			notes = append(notes, n)
+		}
 		for _, n := range notes {
 			fmt.Fprintln(os.Stderr, "benchjson: note:", n)
 		}
@@ -74,10 +115,10 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks within the %s baseline\n",
-			len(baseline), *baselinePath)
+			len(baseline.Benchmarks), *baselinePath)
 		return
 	}
-	buf, err := json.MarshalIndent(records, "", "  ")
+	buf, err := json.MarshalIndent(Ledger{env, records}, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
@@ -108,12 +149,17 @@ func splitRetired(s string) []string {
 	return out
 }
 
-// parse extracts benchmark result lines. The format is fixed by the
-// testing package: name, iterations, value unit pairs.
-func parse(sc *bufio.Scanner) ([]Record, error) {
+// parse extracts benchmark result lines and what the output says of the
+// machine. The format is fixed by the testing package: a `cpu:` header,
+// then name-GOMAXPROCS (no suffix at 1), iterations, value unit pairs.
+func parse(sc *bufio.Scanner) ([]Record, Env, error) {
 	var out []Record
+	env := Env{CPU: "unknown", GOMAXPROCS: 1}
 	for sc.Scan() {
 		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok {
+			env.CPU = strings.TrimSpace(cpu)
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -121,7 +167,9 @@ func parse(sc *bufio.Scanner) ([]Record, error) {
 		if len(f) < 4 {
 			continue
 		}
-		r := Record{Name: trimProcSuffix(f[0]), BOp: -1, AllocsOp: -1}
+		name, procs := splitProcSuffix(f[0])
+		env.GOMAXPROCS = procs
+		r := Record{Name: name, BOp: -1, AllocsOp: -1}
 		ok := false
 		for i := 2; i+1 < len(f); i += 2 {
 			v, unit := f[i], f[i+1]
@@ -129,20 +177,20 @@ func parse(sc *bufio.Scanner) ([]Record, error) {
 			case "ns/op":
 				x, err := strconv.ParseFloat(v, 64)
 				if err != nil {
-					return nil, fmt.Errorf("bad ns/op %q: %w", v, err)
+					return nil, env, fmt.Errorf("bad ns/op %q: %w", v, err)
 				}
 				r.NsOp = x
 				ok = true
 			case "B/op":
 				x, err := strconv.ParseInt(v, 10, 64)
 				if err != nil {
-					return nil, fmt.Errorf("bad B/op %q: %w", v, err)
+					return nil, env, fmt.Errorf("bad B/op %q: %w", v, err)
 				}
 				r.BOp = x
 			case "allocs/op":
 				x, err := strconv.ParseInt(v, 10, 64)
 				if err != nil {
-					return nil, fmt.Errorf("bad allocs/op %q: %w", v, err)
+					return nil, env, fmt.Errorf("bad allocs/op %q: %w", v, err)
 				}
 				r.AllocsOp = x
 			}
@@ -151,7 +199,7 @@ func parse(sc *bufio.Scanner) ([]Record, error) {
 			out = append(out, r)
 		}
 	}
-	return out, sc.Err()
+	return out, env, sc.Err()
 }
 
 // collapse merges repeated measurements of one benchmark (go test
@@ -191,13 +239,14 @@ func minNonNeg(a, b int64) int64 {
 	return a
 }
 
-// trimProcSuffix drops the trailing -GOMAXPROCS of a benchmark name
-// (BenchmarkMatch/islip/n=128-8 -> BenchmarkMatch/islip/n=128).
-func trimProcSuffix(name string) string {
+// splitProcSuffix splits the trailing -GOMAXPROCS off a benchmark name
+// (BenchmarkMatch/islip/n=128-8 -> BenchmarkMatch/islip/n=128, 8); the
+// testing package omits the suffix at GOMAXPROCS 1.
+func splitProcSuffix(name string) (string, int) {
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+		if procs, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], procs
 		}
 	}
-	return name
+	return name, 1
 }

@@ -10,15 +10,19 @@ func TestParseBenchOutput(t *testing.T) {
 	in := `goos: linux
 goarch: amd64
 pkg: hybridsched
+cpu: Intel(R) Xeon(R) CPU @ 2.60GHz
 BenchmarkMatch/islip/n=128-8         	    2308	    105696 ns/op	    6358 B/op	       6 allocs/op
 BenchmarkMatch/tdma/n=16-8           	 2708622	        80.39 ns/op	     128 B/op	       1 allocs/op
 BenchmarkFrameDecompose/n=16-8      	    2379	     99344 ns/op
 PASS
 ok  	hybridsched	8.033s
 `
-	recs, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	recs, env, err := parse(bufio.NewScanner(strings.NewReader(in)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := (Env{CPU: "Intel(R) Xeon(R) CPU @ 2.60GHz", GOMAXPROCS: 8}); env != want {
+		t.Fatalf("env = %+v, want %+v", env, want)
 	}
 	if len(recs) != 3 {
 		t.Fatalf("got %d records, want 3: %+v", len(recs), recs)
@@ -59,13 +63,33 @@ func TestCollapseRepetitions(t *testing.T) {
 }
 
 func TestTrimProcSuffix(t *testing.T) {
-	for in, want := range map[string]string{
-		"BenchmarkMatch/islip/n=128-8": "BenchmarkMatch/islip/n=128",
-		"BenchmarkFoo-16":              "BenchmarkFoo",
-		"BenchmarkBare":                "BenchmarkBare",
+	type split struct {
+		name  string
+		procs int
+	}
+	for in, want := range map[string]split{
+		"BenchmarkMatch/islip/n=128-8": {"BenchmarkMatch/islip/n=128", 8},
+		"BenchmarkFoo-16":              {"BenchmarkFoo", 16},
+		"BenchmarkBare":                {"BenchmarkBare", 1},
 	} {
-		if got := trimProcSuffix(in); got != want {
-			t.Fatalf("trimProcSuffix(%q) = %q, want %q", in, got, want)
+		if name, procs := splitProcSuffix(in); name != want.name || procs != want.procs {
+			t.Fatalf("splitProcSuffix(%q) = %q, %d, want %q, %d", in, name, procs, want.name, want.procs)
 		}
+	}
+}
+
+// TestEnvNote: the stamp is a note, printed only when the two sides
+// differ, naming both — and "unstamped" for a baseline that predates it.
+func TestEnvNote(t *testing.T) {
+	fast := Env{CPU: "Xeon @ 2.60GHz", GOMAXPROCS: 2, Go: "go1.24.0"}
+	slow := Env{CPU: "Xeon @ 2.10GHz", GOMAXPROCS: 2, Go: "go1.24.0"}
+	if n := envNote(fast, fast); n != "" {
+		t.Fatalf("same stamp noted: %q", n)
+	}
+	if n := envNote(fast, slow); !strings.Contains(n, "2.60GHz") || !strings.Contains(n, "2.10GHz") {
+		t.Fatalf("note %q does not name both hosts", n)
+	}
+	if n := envNote(Env{}, slow); !strings.Contains(n, "unstamped") || !strings.Contains(n, "2.10GHz") {
+		t.Fatalf("note %q for a pre-stamp baseline", n)
 	}
 }

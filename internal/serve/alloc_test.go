@@ -16,8 +16,10 @@ import (
 // gauge) does not change that. Both boundaries are covered: the copy
 // shape re-offers every cell each epoch, which overflows the journal;
 // the replay shape offers to n/4 of the ports over a standing backlog,
-// so the journal is short against the matrix's nonzeros. (Excluded under
-// -race: the detector instruments allocations.)
+// so the journal is short against the matrix's nonzeros — and ilqf, the
+// arbiter with the incremental face, schedules those epochs from the
+// change list. (Excluded under -race: the detector instruments
+// allocations.)
 func TestServeEpochAllocFree(t *testing.T) {
 	const n = 128
 	for _, tc := range []struct {
@@ -37,7 +39,7 @@ func TestServeEpochAllocFree(t *testing.T) {
 			{"replay", n / 4, 4 * 1500 * 8, false},
 		} {
 			t.Run(tc.name+"/"+shape.name, func(t *testing.T) {
-				for _, alg := range []string{"islip", "greedy", "tdma"} {
+				for _, alg := range []string{"islip", "greedy", "tdma", "ilqf"} {
 					s, err := New(Config{Ports: n, Algorithm: alg, SlotBits: 1500 * 8, Metrics: tc.registry})
 					if err != nil {
 						t.Fatal(err)
@@ -57,9 +59,9 @@ func TestServeEpochAllocFree(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					var before uint64
+					var before, deltaBefore uint64
 					if s.ins != nil {
-						before = s.ins.snapshotsFull.Value()
+						before, deltaBefore = s.ins.snapshotsFull.Value(), s.ins.schedulesDelta.Value()
 					}
 					const runs = 50
 					allocs := testing.AllocsPerRun(runs, func() {
@@ -80,6 +82,13 @@ func TestServeEpochAllocFree(t *testing.T) {
 						}
 						if got := s.ins.snapshotsFull.Value() - before; got != want {
 							t.Errorf("%s: %d boundaries copied in full, want %d", alg, got, want)
+						}
+						wantDelta := uint64(0)
+						if alg == "ilqf" {
+							wantDelta = runs + 1 - want
+						}
+						if got := s.ins.schedulesDelta.Value() - deltaBefore; got != wantDelta {
+							t.Errorf("%s: %d epochs scheduled from the change list, want %d", alg, got, wantDelta)
 						}
 					}
 					s.Close()

@@ -104,6 +104,45 @@ func BenchmarkServeBoundary(b *testing.B) {
 	}
 }
 
+// BenchmarkServeEpochDelta prices the epoch of a weight-reading arbiter on
+// its incremental face — the serve_match shape of the repository
+// benchmark: 2048 ports under ilqf, each offering 10000 bits (load 0.83)
+// to a rotating one of its 8 peers, then a Step. Peer ranks are staggered
+// across ports, so the offers of one epoch contend for outputs and a
+// bounded backlog of ~9.7k nonzero cells stands; the journal (a write and
+// a drain per pair, ~3.9k cells) stays under half of that, so every
+// boundary replays and every schedule is a ScheduleDelta over that change
+// list. 0 allocs/op; the committed figure is in BENCH_serve.json.
+func BenchmarkServeEpochDelta(b *testing.B) {
+	const n = 2048
+	s, err := New(Config{Ports: n, Algorithm: "ilqf", SlotBits: 12000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	epoch := func(e int) {
+		for i := 0; i < n; i++ {
+			if err := s.Offer(i, (i+1+(e+3*i)%8*7)%n, 10000); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := s.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// The backlog reaches its steady state within 300 epochs; the full
+	// copies and the mirror's one rebuild are behind it by then.
+	const warmup = 400
+	for e := 0; e < warmup; e++ {
+		epoch(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		epoch(warmup + i)
+	}
+}
+
 // BenchmarkServeEpochSubscribed prices the same epoch with a subscriber
 // attached: one matching clone per epoch is the whole delta.
 func BenchmarkServeEpochSubscribed(b *testing.B) {

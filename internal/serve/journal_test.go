@@ -136,6 +136,8 @@ func sameMatrix(a, b *demand.Matrix) error {
 // inside the Schedule call — after the epoch boundary, with the demand
 // lock released: check hands over the snapshot the boundary produced, and
 // offers are made from a second goroutine while the inner Schedule runs.
+// Install it with wrapAlgorithm, which keeps the inner algorithm's
+// ScheduleDelta reachable.
 type duringSchedule struct {
 	match.Algorithm
 	s      *Scheduler
@@ -143,7 +145,9 @@ type duringSchedule struct {
 	offers []testOffer
 }
 
-func (d *duringSchedule) Schedule(snap *demand.Matrix) match.Matching {
+// around runs one inner schedule call with the check before it and the
+// offers alongside it.
+func (d *duringSchedule) around(snap *demand.Matrix, inner func() match.Matching) match.Matching {
 	d.check(snap)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -153,9 +157,37 @@ func (d *duringSchedule) Schedule(snap *demand.Matrix) match.Matching {
 			d.s.Offer(o.src, o.dst, o.bits)
 		}
 	}()
-	m := d.Algorithm.Schedule(snap)
+	m := inner()
 	wg.Wait()
 	return m
+}
+
+func (d *duringSchedule) Schedule(snap *demand.Matrix) match.Matching {
+	return d.around(snap, func() match.Matching { return d.Algorithm.Schedule(snap) })
+}
+
+// duringScheduleDelta is duringSchedule around an algorithm with the
+// incremental face: the delta call gets the same check and the same
+// concurrent offers.
+type duringScheduleDelta struct {
+	*duringSchedule
+	inner deltaScheduler
+}
+
+func (d duringScheduleDelta) ScheduleDelta(snap *demand.Matrix, changed []match.Change) match.Matching {
+	return d.around(snap, func() match.Matching { return d.inner.ScheduleDelta(snap, changed) })
+}
+
+// wrapAlgorithm puts hook around s's algorithm through setAlgorithm, the
+// way New installed it, so the scheduler sees exactly the faces the inner
+// algorithm has.
+func wrapAlgorithm(s *Scheduler, hook *duringSchedule) {
+	hook.Algorithm, hook.s = s.alg, s
+	if inner, ok := s.alg.(deltaScheduler); ok {
+		s.setAlgorithm(duringScheduleDelta{hook, inner})
+	} else {
+		s.setAlgorithm(hook)
+	}
 }
 
 func (d *duringSchedule) Close() {
@@ -211,18 +243,17 @@ func runJournalDifferential(t *testing.T, alg string, n, epochs int) {
 		alg:      refAlg,
 		source:   &scriptSource{n: n, perEpoch: perEpoch, r: rng.New(seed + 1)},
 	}
-	hook := &duringSchedule{Algorithm: s.alg, s: s}
-	hook.check = func(snap *demand.Matrix) {
+	hook := &duringSchedule{check: func(snap *demand.Matrix) {
 		if err := sameMatrix(snap, ref.snap); err != nil {
 			t.Fatalf("epoch %d: snapshot at the boundary is not the reference's full copy: %v", ref.epochs, err)
 		}
-	}
-	s.alg = hook
+	}}
+	wrapAlgorithm(s, hook)
 
 	r := rng.New(seed + 2)
 	var recs []trace.Record
 	var overflows, halfFulls, toFull, toDelta int
-	lastFull := false
+	lastFull, restored := false, false
 	for e := 0; e < epochs; e++ {
 		// A cycle of 50 epochs: three bursts past the journal's capacity
 		// that also rebuild a wide backlog; twenty quiet epochs later, two
@@ -262,7 +293,7 @@ func runJournalDifferential(t *testing.T, alg string, n, epochs int) {
 		// Only the Source's offers are still to come, and they fit what is
 		// left of the journal in every epoch that has not overflowed it.
 		overflowed := s.stale
-		fullBefore := s.ins.snapshotsFull.Value()
+		fullBefore, deltaBefore := s.ins.snapshotsFull.Value(), s.ins.schedulesDelta.Value()
 		got, err := s.Step()
 		if err != nil {
 			t.Fatal(err)
@@ -273,6 +304,17 @@ func runJournalDifferential(t *testing.T, alg string, n, epochs int) {
 				want.Epoch, got.Pairs, got.ServedBits, got.BacklogBits, want.Pairs, want.ServedBits, want.BacklogBits)
 		}
 		full := s.ins.snapshotsFull.Value() > fullBefore
+		// An arbiter with the incremental face schedules from the change
+		// list exactly when the boundary replayed: from scratch after every
+		// overflow and (stale, hence full) on the epoch after Restore.
+		if delta := s.ins.schedulesDelta.Value() > deltaBefore; delta != (s.delta != nil && !full) {
+			t.Fatalf("epoch %d: delta schedule %v after a boundary with full copy %v (arbiter has the face: %v)",
+				want.Epoch, delta, full, s.delta != nil)
+		}
+		if (overflowed || restored) && !full {
+			t.Fatalf("epoch %d: boundary replayed after an overflow (%v) or a Restore (%v)", want.Epoch, overflowed, restored)
+		}
+		restored = false
 		if e > 0 && full != lastFull {
 			if full {
 				toFull++
@@ -297,6 +339,7 @@ func runJournalDifferential(t *testing.T, alg string, n, epochs int) {
 				t.Fatal(err)
 			}
 			ref.restore()
+			restored = true
 		}
 
 		st := s.Stats()
@@ -314,6 +357,11 @@ func runJournalDifferential(t *testing.T, alg string, n, epochs int) {
 		t.Fatalf("run did not cover both boundaries: %d journal overflows, %d full copies of a journal that fit, %d switches to a full copy, %d back to replay",
 			overflows, halfFulls, toFull, toDelta)
 	}
-	t.Logf("%d epochs: %d replayed, %d copied in full (%d journal overflows), %d+%d switches",
-		epochs, s.ins.snapshotsDelta.Value(), s.ins.snapshotsFull.Value(), overflows, toFull, toDelta)
+	deltas, scratches := s.ins.schedulesDelta.Value(), s.ins.schedulesScratch.Value()
+	if deltas+scratches != uint64(epochs) || (s.delta != nil) != (2*deltas > uint64(epochs)) {
+		t.Fatalf("%d epochs scheduled %d times from the change list and %d times from scratch (arbiter has the face: %v)",
+			epochs, deltas, scratches, s.delta != nil)
+	}
+	t.Logf("%d epochs: %d replayed, %d copied in full (%d journal overflows), %d+%d switches; %d delta schedules",
+		epochs, s.ins.snapshotsDelta.Value(), s.ins.snapshotsFull.Value(), overflows, toFull, toDelta, deltas)
 }

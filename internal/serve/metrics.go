@@ -31,6 +31,9 @@ import (
 //	hybridsched_serve_snapshot_latency_ns    histogram {shard}
 //	hybridsched_serve_snapshots_total        counter   {shard, mode}
 //	hybridsched_serve_snapshot_cells_total   counter   {shard}
+//	hybridsched_serve_schedule_latency_ns    histogram {shard}
+//	hybridsched_serve_schedules_total        counter   {shard, mode}
+//	hybridsched_serve_schedule_repairs_total counter   {shard}
 
 // instruments is one scheduler's bound slice of the registry.
 type instruments struct {
@@ -58,6 +61,15 @@ type instruments struct {
 	snapshotsDelta  *metrics.Counter
 	snapshotsFull   *metrics.Counter
 	snapshotCells   *metrics.Counter
+
+	// The matcher's stage of the epoch: how long the arbiter call took,
+	// whether it scheduled from the boundary's change list or from scratch
+	// (the hit rate of the arbiter's incremental face), and how many
+	// listed cells the delta calls were handed to repair.
+	scheduleLatency  *metrics.Histogram
+	schedulesDelta   *metrics.Counter
+	schedulesScratch *metrics.Counter
+	scheduleRepairs  *metrics.Counter
 }
 
 // newInstruments registers (or re-binds, after a restore) the shard's
@@ -104,6 +116,16 @@ func newInstruments(r *metrics.Registry, shard int) *instruments {
 			sh, metrics.Label{Key: "mode", Value: "full"}),
 		snapshotCells: r.Counter("hybridsched_serve_snapshot_cells_total",
 			"Cells written into the snapshot at epoch boundaries (journal entries replayed, or nonzeros copied).", sh),
+		scheduleLatency: r.Histogram("hybridsched_serve_schedule_latency_ns",
+			"Latency of the matching algorithm's call within one epoch, in nanoseconds.", sh),
+		schedulesDelta: r.Counter("hybridsched_serve_schedules_total",
+			"Matching algorithm calls, by mode: delta schedules from the boundary's change list, scratch from the whole snapshot.",
+			sh, metrics.Label{Key: "mode", Value: "delta"}),
+		schedulesScratch: r.Counter("hybridsched_serve_schedules_total",
+			"Matching algorithm calls, by mode: delta schedules from the boundary's change list, scratch from the whole snapshot.",
+			sh, metrics.Label{Key: "mode", Value: "scratch"}),
+		scheduleRepairs: r.Counter("hybridsched_serve_schedule_repairs_total",
+			"Changed cells handed to the matching algorithm on delta calls.", sh),
 	}
 }
 
@@ -147,6 +169,18 @@ func (in *instruments) observeSnapshot(elapsed time.Duration, cells int, full bo
 		in.snapshotsDelta.Inc()
 	}
 	in.snapshotCells.Add(uint64(cells))
+}
+
+// observeSchedule records one call of the matching algorithm. Hot path:
+// atomic updates only.
+func (in *instruments) observeSchedule(elapsed time.Duration, delta bool, repairs int) {
+	in.scheduleLatency.Observe(int64(elapsed))
+	if delta {
+		in.schedulesDelta.Inc()
+		in.scheduleRepairs.Add(uint64(repairs))
+	} else {
+		in.schedulesScratch.Inc()
+	}
 }
 
 // observeDrop records one dropped frame under the subscription's policy.

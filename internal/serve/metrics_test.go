@@ -204,7 +204,11 @@ func TestServeFrameDecomposeMetrics(t *testing.T) {
 // each boundary went. A saturated run re-offers every cell every epoch,
 // which overflows the journal, so every boundary is a full copy; a
 // sparse run copies once, after the burst that builds its backlog, and
-// replays the journal from then on.
+// replays the journal from then on. The matcher-stage instruments follow
+// the boundary: an arbiter with the incremental face (ilqf) schedules from
+// the change list on exactly the epochs whose boundary replayed and is
+// handed at least the offered cell each time; one without it (islip) only
+// ever counts scratch.
 func TestServeSnapshotMetrics(t *testing.T) {
 	const n, epochs = 32, 20
 	offerAll := func(s *Scheduler, bits int64) {
@@ -243,30 +247,42 @@ func TestServeSnapshotMetrics(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			reg := metrics.NewRegistry()
-			s := newTestScheduler(t, Config{Ports: n, Algorithm: "islip", SlotBits: 1500 * 8, Metrics: reg})
-			for e := 0; e < epochs; e++ {
-				tc.offer(s, e)
-				if _, err := s.Step(); err != nil {
+			for _, alg := range []string{"islip", "ilqf"} {
+				reg := metrics.NewRegistry()
+				s := newTestScheduler(t, Config{Ports: n, Algorithm: alg, SlotBits: 1500 * 8, Metrics: reg})
+				for e := 0; e < epochs; e++ {
+					tc.offer(s, e)
+					if _, err := s.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				deltaSchedules := 0
+				if alg == "ilqf" {
+					deltaSchedules = tc.delta
+				}
+				var buf bytes.Buffer
+				if err := reg.WriteText(&buf); err != nil {
 					t.Fatal(err)
 				}
-			}
-			var buf bytes.Buffer
-			if err := reg.WriteText(&buf); err != nil {
-				t.Fatal(err)
-			}
-			out := buf.String()
-			for _, want := range []string{
-				`hybridsched_serve_snapshots_total{mode="full",shard="0"} ` + itoa(tc.full),
-				`hybridsched_serve_snapshots_total{mode="delta",shard="0"} ` + itoa(tc.delta),
-				`hybridsched_serve_snapshot_latency_ns_bucket{shard="0",le="+Inf"} ` + itoa(epochs),
-			} {
-				if !strings.Contains(out, want+"\n") {
-					t.Errorf("exposition missing %q in:\n%s", want, out)
+				out := buf.String()
+				for _, want := range []string{
+					`hybridsched_serve_snapshots_total{mode="full",shard="0"} ` + itoa(tc.full),
+					`hybridsched_serve_snapshots_total{mode="delta",shard="0"} ` + itoa(tc.delta),
+					`hybridsched_serve_snapshot_latency_ns_bucket{shard="0",le="+Inf"} ` + itoa(epochs),
+					`hybridsched_serve_schedules_total{mode="delta",shard="0"} ` + itoa(deltaSchedules),
+					`hybridsched_serve_schedules_total{mode="scratch",shard="0"} ` + itoa(epochs-deltaSchedules),
+					`hybridsched_serve_schedule_latency_ns_bucket{shard="0",le="+Inf"} ` + itoa(epochs),
+				} {
+					if !strings.Contains(out, want+"\n") {
+						t.Errorf("%s: exposition missing %q in:\n%s", alg, want, out)
+					}
 				}
-			}
-			if got := s.ins.snapshotCells.Value(); got < uint64(tc.minCells) {
-				t.Errorf("snapshot cells = %d, want at least %d", got, tc.minCells)
+				if got := s.ins.snapshotCells.Value(); got < uint64(tc.minCells) {
+					t.Errorf("%s: snapshot cells = %d, want at least %d", alg, got, tc.minCells)
+				}
+				if got := s.ins.scheduleRepairs.Value(); got < uint64(deltaSchedules) || (deltaSchedules == 0 && got != 0) {
+					t.Errorf("%s: %d cells handed to %d delta schedules", alg, got, deltaSchedules)
+				}
 			}
 		})
 	}

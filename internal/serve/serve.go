@@ -166,10 +166,11 @@ type Scheduler struct {
 	ins   *instruments // nil when Config.Metrics is nil
 
 	// framer is alg when it exposes a frame counter (the frame
-	// decomposition schedulers), asserted once at construction so the
-	// epoch hot path can attribute decomposition work without a per-step
-	// type switch. Nil for per-slot arbiters.
+	// decomposition schedulers) and delta is alg when it schedules from a
+	// change list (match.Change); both are asserted by setAlgorithm, not
+	// per step. Nil for arbiters without the face.
 	framer interface{ Frames() int64 }
+	delta  deltaScheduler
 
 	mu      sync.Mutex // guards pending, the journal, the bit counters and closed
 	pending *demand.Matrix
@@ -191,6 +192,10 @@ type Scheduler struct {
 
 	stepMu sync.Mutex // serializes epochs
 	snap   *demand.Matrix
+	// changes is what the last boundary replay wrote into snap, cell by
+	// cell with the value written — the change list of a delta arbiter.
+	// Journal-sized and allocated once; nil when alg has no such face.
+	changes []match.Change
 
 	epochs atomic.Uint64
 	idle   atomic.Uint64
@@ -215,7 +220,6 @@ func New(cfg Config) (*Scheduler, error) {
 	s := &Scheduler{
 		cfg:     cfg,
 		shard:   cfg.Shard,
-		alg:     alg,
 		pending: demand.FromPool(cfg.Ports),
 		snap:    demand.FromPool(cfg.Ports),
 		journal: make([]cell, 0, journalPerPort*cfg.Ports),
@@ -225,7 +229,26 @@ func New(cfg Config) (*Scheduler, error) {
 		s.ins = newInstruments(cfg.Metrics, cfg.Shard)
 	}
 	s.sourceOffer = s.offerFromSource
+	s.setAlgorithm(alg)
+	return s, nil
+}
+
+// deltaScheduler is the optional incremental face of a match.Algorithm;
+// match.Change states its contract.
+type deltaScheduler interface {
+	ScheduleDelta(d *demand.Matrix, changed []match.Change) match.Matching
+}
+
+// setAlgorithm installs alg and derives everything the scheduler learns
+// from its optional faces in one place, so no assertion made earlier can
+// outlive a swap (the in-package tests wrap the algorithm after New).
+func (s *Scheduler) setAlgorithm(alg match.Algorithm) {
+	s.alg = alg
 	s.framer, _ = alg.(interface{ Frames() int64 })
+	s.delta, _ = alg.(deltaScheduler)
+	if s.delta != nil && s.changes == nil {
+		s.changes = make([]match.Change, 0, cap(s.journal))
+	}
 	// Frame decomposition schedulers pipeline the next frame's
 	// decomposition behind the current frame's playback; output is
 	// bit-for-bit identical either way, so a long-lived service always
@@ -233,7 +256,6 @@ func New(cfg Config) (*Scheduler, error) {
 	if ca, ok := alg.(interface{ EnableComputeAhead() }); ok {
 		ca.EnableComputeAhead()
 	}
-	return s, nil
 }
 
 // Ports returns the fabric port count.
@@ -357,16 +379,22 @@ func (s *Scheduler) addPending(src, dst int, delta int64) {
 // duplicates do not matter. A full copy is taken when the journal missed
 // a write (overflow, Restore) or when replay would touch more than half
 // of pending's nonzeros, where the sequential copy is the faster of the
-// two. The caller holds s.stepMu and s.mu.
+// two. A replay also leaves what it wrote in s.changes when the arbiter
+// schedules from a change list. The caller holds s.stepMu and s.mu.
 func (s *Scheduler) syncSnapshot() (cells int, full bool) {
 	cells = len(s.journal)
 	full = s.stale || 2*cells > s.pending.NonZeros()
+	s.changes = s.changes[:0]
 	if full {
 		s.snap.CopyFrom(s.pending)
 		cells = s.pending.NonZeros()
 	} else {
 		for _, c := range s.journal {
-			s.snap.Set(int(c.src), int(c.dst), s.pending.At(int(c.src), int(c.dst)))
+			v := s.pending.At(int(c.src), int(c.dst))
+			s.snap.Set(int(c.src), int(c.dst), v)
+			if s.delta != nil {
+				s.changes = append(s.changes, match.Change{In: c.src, Out: c.dst, Value: v})
+			}
 		}
 	}
 	s.journal = s.journal[:0]
@@ -431,7 +459,7 @@ func (s *Scheduler) step() (Frame, error) {
 		s.ins.observeSnapshot(stepElapsed(tb), cells, full)
 	}
 
-	m := s.schedule(s.snap)
+	m := s.schedule(s.snap, full)
 
 	// Drain served demand from the live matrix. Offers since the snapshot
 	// only add, and this is the only subtractor, so pending >= snap holds
@@ -481,26 +509,44 @@ func (s *Scheduler) step() (Frame, error) {
 	return f, nil
 }
 
-// schedule runs the matching algorithm on the epoch's snapshot. For
-// frame decomposition algorithms with instrumentation enabled it
-// attributes decomposition work: when the Schedule call computed one
-// or more frames (a refill, speculative or synchronous), the call's
-// latency lands in the frame-decompose histogram and the frame counter
-// advances. Pure playback epochs record nothing. Recording is atomic
-// updates on pre-registered instruments — allocation-free.
+// schedule runs the matching algorithm on the epoch's snapshot: from the
+// boundary's change list when the boundary replayed the journal and the
+// arbiter takes one, from scratch otherwise — the boundary decides, there
+// is nothing to configure. With instrumentation enabled it records the
+// call's latency and path, and for frame decomposition algorithms
+// attributes decomposition work: when the call computed one or more
+// frames (a refill, speculative or synchronous), its latency also lands
+// in the frame-decompose histogram and the frame counter advances; pure
+// playback epochs record nothing there. Recording is atomic updates on
+// pre-registered instruments — allocation-free.
 //
 //hybridsched:hotpath
-func (s *Scheduler) schedule(snap *demand.Matrix) match.Matching {
-	if s.ins == nil || s.framer == nil {
-		return s.alg.Schedule(snap)
+func (s *Scheduler) schedule(snap *demand.Matrix, full bool) match.Matching {
+	delta := s.delta != nil && !full
+	if s.ins == nil {
+		return s.runAlgorithm(snap, delta)
 	}
-	before := s.framer.Frames()
+	var before int64
+	if s.framer != nil {
+		before = s.framer.Frames()
+	}
 	t0 := stepStart()
-	m := s.alg.Schedule(snap)
-	if computed := s.framer.Frames() - before; computed > 0 {
-		s.ins.observeFrames(stepElapsed(t0), computed)
+	m := s.runAlgorithm(snap, delta)
+	elapsed := stepElapsed(t0)
+	s.ins.observeSchedule(elapsed, delta, len(s.changes))
+	if s.framer != nil {
+		if computed := s.framer.Frames() - before; computed > 0 {
+			s.ins.observeFrames(elapsed, computed)
+		}
 	}
 	return m
+}
+
+func (s *Scheduler) runAlgorithm(snap *demand.Matrix, delta bool) match.Matching {
+	if delta {
+		return s.delta.ScheduleDelta(snap, s.changes)
+	}
+	return s.alg.Schedule(snap)
 }
 
 // Run steps one epoch per interval tick of wall-clock time until ctx is
