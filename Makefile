@@ -108,9 +108,13 @@ bench-check:
 # JSON-lines daemon serving it.
 # internal/analysis rides along so the analyzer suite (whose loader
 # shells out to the go tool and type-checks concurrently loaded
-# packages) is exercised under the race detector too.
+# packages) is exercised under the race detector too, and internal/match
+# so the arbiters' and frame schedulers' pooled scratch (~40 s on two
+# cores) is. TestFrameSchedulerSteadyStateAllocs builds only without
+# -race: the race detector makes sync.Pool drop items, so the pooled
+# matrices it counts on allocate there.
 race-smoke:
-	$(GO) test -race ./internal/runner/... ./internal/serve/... ./internal/analysis/... ./cmd/hybridschedd/... .
+	$(GO) test -race ./internal/runner/... ./internal/serve/... ./internal/analysis/... ./internal/match/... ./cmd/hybridschedd/... .
 
 # sweep-smoke proves the declarative scenario path end to end: the sweep
 # tool loads the committed scenario pack (the same documents the loader

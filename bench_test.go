@@ -211,32 +211,6 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// BenchmarkBvNDecomposition measures the full-frame decomposition cost for
-// circuit schedules.
-func BenchmarkBvNDecomposition(b *testing.B) {
-	for _, n := range []int{8, 16, 32} {
-		d := saturatedDemand(n, 7)
-		b.Run(itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				match.DecomposeBvN(d)
-			}
-		})
-	}
-}
-
-// BenchmarkMaxMinDecomposition measures the Solstice-style
-// reconfiguration-aware decomposition.
-func BenchmarkMaxMinDecomposition(b *testing.B) {
-	for _, n := range []int{8, 16, 32} {
-		d := saturatedDemand(n, 7)
-		b.Run(itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				match.DecomposeMaxMin(d, 100)
-			}
-		})
-	}
-}
-
 // BenchmarkEventQueue measures the simulation kernel's schedule+dispatch
 // cost, which bounds every packet event.
 func BenchmarkEventQueue(b *testing.B) {

@@ -258,8 +258,7 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 // Equal reports whether m and o hold exactly the same entries. The
 // comparison walks only the nonzero structure, so two sparse matrices
 // compare in O(nonzeros), with O(1) early outs on the incremental
-// dimension, count and sum metadata. The warm-start frame decomposer
-// uses it to detect an unchanged demand snapshot across epochs.
+// dimension, count and sum metadata.
 //
 //hybridsched:hotpath
 func (m *Matrix) Equal(o *Matrix) bool {

@@ -11,25 +11,11 @@ type Slot struct {
 	Weight int64
 }
 
-// ScheduleCost returns the total demand units a schedule occupies,
-// including a fixed reconfiguration overhead (in the same units) per slot.
-// This is the quantity duty-cycle analysis compares against the matrix's
-// MaxLineSum lower bound.
-func ScheduleCost(slots []Slot, overhead int64) int64 {
-	var total int64
-	for _, s := range slots {
-		total += s.Weight + overhead
-	}
-	return total
-}
-
 // DecomposeBvN performs a Birkhoff–von Neumann decomposition of d; see
-// Decomposer.BvN for the algorithm. This package-level form is the
-// cold-start entry point: it borrows a pooled engine (recycling Kuhn
-// scratch and the stuffed working matrix across calls, but never warm
-// state) and returns caller-owned slots. Epoch-over-epoch callers should
-// hold a Decomposer instead and get warm starts plus allocation-free
-// steady state.
+// Decomposer.BvN for the algorithm. This package-level form borrows a
+// pooled engine (recycling Kuhn scratch and the stuffed working matrix
+// across calls) and returns caller-owned slots. Epoch-over-epoch callers
+// should hold a Decomposer instead and get allocation-free steady state.
 func DecomposeBvN(d *demand.Matrix) []Slot {
 	dc := decomposerFor(d.N())
 	slots := cloneSlots(dc.BvN(d), d.N())
@@ -38,13 +24,13 @@ func DecomposeBvN(d *demand.Matrix) []Slot {
 }
 
 // DecomposeMaxMin is the reconfiguration-aware max-min decomposition of
-// d; see Decomposer.MaxMin for the algorithm. Like DecomposeBvN it is
-// the cold-start entry point over a pooled engine. The returned residual
-// is pool-backed; callers that consume it promptly may Release it.
+// d; see Decomposer.MaxMin for the algorithm. Like DecomposeBvN it runs
+// on a pooled engine. The returned residual — the demand the slots leave
+// unserved — is the caller's; Release recycles it.
 func DecomposeMaxMin(d *demand.Matrix, minWorth int64) (slots []Slot, residual *demand.Matrix) {
 	dc := decomposerFor(d.N())
-	s, residual := dc.MaxMin(d, minWorth)
-	slots = cloneSlots(s, d.N())
+	slots = cloneSlots(dc.MaxMin(d, minWorth), d.N())
+	residual = dc.residual(d)
 	dc.release()
 	return slots, residual
 }

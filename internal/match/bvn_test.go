@@ -154,16 +154,6 @@ func TestMaxMinZeroThresholdServesEverything(t *testing.T) {
 	}
 }
 
-func TestScheduleCost(t *testing.T) {
-	slots := []Slot{{Weight: 100}, {Weight: 50}}
-	if got := ScheduleCost(slots, 10); got != 170 {
-		t.Fatalf("cost = %d, want 170", got)
-	}
-	if got := ScheduleCost(nil, 10); got != 0 {
-		t.Fatalf("empty cost = %d", got)
-	}
-}
-
 func TestKuhnPerfectFindsKnownMatching(t *testing.T) {
 	d := demand.NewMatrix(3)
 	// Only one perfect matching exists: 0->1, 1->2, 2->0.

@@ -6,12 +6,10 @@ import (
 	"sync"
 
 	"hybridsched/internal/demand"
-	"hybridsched/internal/runner/pool"
 )
 
-// This file is the frame-decomposition engine: the word-parallel,
-// warm-startable core behind DecomposeBvN, DecomposeMaxMin and the
-// FrameScheduler. Three layers of the rebuild:
+// This file is the frame-decomposition engine: the word-parallel core
+// behind DecomposeBvN, DecomposeMaxMin and the FrameScheduler.
 //
 //   - The Kuhn augmenting search runs over the demand matrix's row
 //     bitsets with bits.TrailingZeros64 candidate scans, 64 columns per
@@ -21,51 +19,16 @@ import (
 //     on every resume), so extracted matchings are bit-identical to the
 //     dense reference.
 //
+//   - Within one BvN decomposition, consecutive extractions replay every
+//     row the last subtraction cannot have affected (perfectBvN's memo).
+//
 //   - All scratch — Kuhn state, threshold buffers, the stuffed working
-//     matrix, and the produced slots and matchings themselves — lives in
-//     the Decomposer and is recycled call over call. Slot storage is
-//     double-buffered: the slots returned by one decomposition stay valid
-//     while the next one computes, which is what lets a frame scheduler
-//     play back the current frame while the next frame decomposes.
-//
-//   - Warm start: a Decomposer retained across epochs seeds each frame
-//     from the previous one, reusing work only when the reuse provably
-//     reproduces the cold output (see the invariants on each mechanism
-//     below). Warm output is bit-for-bit equal to cold output on every
-//     input, pinned by TestWarmColdEquivalence and FuzzWarmStartRepair.
-//
-// Warm-start mechanisms, each with its equivalence argument:
-//
-//  1. Identical-input fast path (BvN and max-min): if the new demand
-//     matrix equals the previous one entry for entry, the decomposition
-//     — a deterministic function of its input — is the previous frame,
-//     returned as a copy.
-//
-//  2. BvN support replay: at threshold 1 the Kuhn search reads only the
-//     nonzero STRUCTURE of the stuffed matrix, never the values, so the
-//     k-th extracted matching is a function of the support alone — and
-//     BvN subtraction only ever shrinks the support, by exactly the
-//     cells it zeroes. If the new stuffed support equals the previous
-//     initial support, step 0's cached matching is what a cold run would
-//     extract; its weight is recomputed live (min along the matching)
-//     and subtracted live. If the cells zeroed by that live subtraction
-//     match the cached step's zeroed set, the supports still agree and
-//     step 1 is reusable too — inductively until the first divergence,
-//     after which extraction continues with the live Kuhn search, which
-//     by the same induction is exactly where a cold run would be.
-//
-//  3. Max-min threshold seeding: bestThreshold returns the largest
-//     feasible value of a monotone predicate; the answer is independent
-//     of probe order. Seeding the search with the previous frame's
-//     threshold for the same extraction step resolves an unchanged
-//     threshold in two probes instead of log2(distinct values), and
-//     cannot change the result.
-//
-// The per-frame threshold search also fans its feasibility probes out
-// over a deterministic worker pool (SetPool): probes are independent
-// matching extractions against a read-only working matrix, merged in
-// submission order, so the narrowed interval — and therefore the chosen
-// threshold — is identical on one worker or sixty-four.
+//     matrix, the served matrix, and the produced slots and matchings
+//     themselves — lives in the Decomposer and is recycled call over
+//     call. Nothing carries over between decompositions except storage:
+//     a decomposition is a pure function of its input, so a retained
+//     engine returns bit for bit what a fresh one returns, pinned by
+//     TestWarmColdEquivalence and FuzzWarmStartRepair.
 
 // kframe is one frame of the explicit augmenting-path stack: the row
 // being augmented, the candidate column currently tried, and where the
@@ -77,55 +40,13 @@ type kframe struct {
 	base int32 // row*words, cached to keep the pop path load-only
 }
 
-// warmStep caches one extraction of a frame: where its matching lives in
-// the side's matching arena, which cells its subtraction zeroed, the
-// weight it was emitted at, and (max-min) the threshold it was found at.
-type warmStep struct {
-	mOff int32
-	zOff int32
-	zLen int32
-	w    int64
-	thr  int64
-}
-
-// frameCache is one side of the double buffer: everything one
-// decomposition produced, kept both as the caller's return value and as
-// the warm-start seed for the next frame.
-type frameCache struct {
-	valid    bool
-	maxmin   bool
-	minWorth int64
-	d        *demand.Matrix // copy of the input (identical-input fast path)
-	support  []uint64       // initial stuffed support (BvN replay), n*words
-	mback    []int          // matching arena; slots' Match are subslices
-	steps    []warmStep
-	zcells   []int32 // packed i*n+j zeroed-cell lists, indexed by steps
-	slots    []Slot
-	residual *demand.Matrix // max-min: cached residual (engine-owned)
-}
-
-func (c *frameCache) resetFor(maxmin bool, minWorth int64) {
-	c.valid = false
-	c.maxmin = maxmin
-	c.minWorth = minWorth
-	c.mback = c.mback[:0]
-	c.steps = c.steps[:0]
-	c.zcells = c.zcells[:0]
-	c.slots = c.slots[:0]
-	c.support = c.support[:0]
-}
-
-// Decomposer is the reusable frame-decomposition engine. A zero value is
-// unusable; create with NewDecomposer. A Decomposer retained across
-// calls warm-starts each decomposition from the previous one; outputs
-// are bit-for-bit identical to a cold run on the same input.
+// Decomposer is the reusable frame-decomposition engine; create with
+// newDecomposer. Outputs are bit-for-bit what a fresh engine produces.
 //
 // Ownership: the slots returned by BvN/MaxMin (and the matchings inside
-// them) are arena storage owned by the Decomposer, valid until the
-// SECOND next decomposition on the same instance — the double buffer
-// guarantees they survive exactly one subsequent call, so a frame can
-// play back while its successor computes. Callers that keep slots longer
-// must copy them. A Decomposer is not safe for concurrent use.
+// them) are arena storage owned by the Decomposer, valid until the next
+// decomposition on the same instance. Callers that keep slots longer must
+// copy them. A Decomposer is not safe for concurrent use.
 type Decomposer struct {
 	n, words int
 
@@ -141,28 +62,20 @@ type Decomposer struct {
 	// checkpoints before each row plus the final state ((n+1)*n), the rows
 	// and columns each augment visited (n row-bitmasks each), the rows the
 	// last subtraction zeroed cells in (one row-bitmask), and that
-	// subtraction's zeroed-cell list.
+	// subtraction's zeroed-cell list (packed i*n+j).
 	chk   []int32
 	touch []uint64
 	vis   []uint64
 	zrows []uint64
 	zlist []int32
 
-	work *demand.Matrix // stuffed working matrix (pooled, retained)
+	work   *demand.Matrix // stuffed working matrix (pooled, retained)
+	served *demand.Matrix // max-min: demand the slots carry (pooled, retained)
 
-	side [2]frameCache
-	cur  int
-
-	seedThr int64 // warm threshold seed for the next bestThreshold call
-
-	par      *pool.Pool
-	parScr   []*Decomposer // per-worker probe scratch
-	parFeas  []bool
-	parProbe []int
+	// Output arenas: slot k's Match is mback[k*n:(k+1)*n].
+	mback []int
+	slots []Slot
 }
-
-// NewDecomposer returns a decomposition engine for n-port matrices.
-func NewDecomposer(n int) *Decomposer { return newDecomposer(n) }
 
 func newDecomposer(n int) *Decomposer {
 	if n <= 0 {
@@ -177,45 +90,6 @@ func newDecomposer(n int) *Decomposer {
 		frames:   make([]kframe, n+1),
 		out:      NewMatching(n),
 	}
-}
-
-// SetPool installs a deterministic worker pool for the max-min threshold
-// search: feasibility probes (independent perfect-matching extractions
-// against the read-only working matrix) fan out over the pool's workers
-// and merge in submission order, so results are identical to the serial
-// search. A nil pool (the default) keeps the search serial and the
-// decomposition allocation-free in steady state; the parallel path keeps
-// per-worker Kuhn scratch but pays pool-dispatch allocations per round.
-func (dc *Decomposer) SetPool(p *pool.Pool) {
-	dc.par = p
-	dc.parScr = nil
-	if p != nil && p.Workers() > 1 {
-		w := p.Workers()
-		if w > maxProbeFan {
-			w = maxProbeFan
-		}
-		dc.parScr = make([]*Decomposer, w)
-		for i := range dc.parScr {
-			dc.parScr[i] = newDecomposer(dc.n)
-		}
-		dc.parFeas = make([]bool, w)
-		dc.parProbe = make([]int, 0, w)
-	}
-}
-
-// maxProbeFan bounds the threshold-search fan-out: past a handful of
-// simultaneous probes the search interval collapses faster than workers
-// can be fed.
-const maxProbeFan = 8
-
-// Reset discards the warm cache: the next decomposition runs cold. The
-// output contract is unaffected (warm equals cold bit for bit); Reset
-// exists so pooled engines hand reproducible scratch to unrelated
-// callers and frame schedulers drop state on Algorithm.Reset.
-func (dc *Decomposer) Reset() {
-	dc.side[0].valid = false
-	dc.side[1].valid = false
-	dc.seedThr = 0
 }
 
 // perfect finds a perfect matching using only edges with weight >= thr
@@ -454,7 +328,7 @@ func (dc *Decomposer) augment2(root int, tb, vb []uint64) bool {
 // The replayed transitions are therefore exactly the transitions a
 // from-scratch run over the current elig would take, row by row, so the
 // extracted matching is bit-for-bit the cold result. The dense
-// equivalence and warm/cold suites pin this.
+// equivalence suites and TestWarmColdEquivalence pin this.
 //
 //hybridsched:hotpath
 func (dc *Decomposer) perfectBvN(memo bool) (Matching, bool) {
@@ -558,22 +432,31 @@ func (dc *Decomposer) zlistHits(i int) bool {
 	return false
 }
 
-// clearEligCells removes zeroed cells from the flat thr=1 masks and
-// rebuilds dc.zrows — the bitmask of rows that lost a cell, which the
-// next memoized extraction tests each row's scanned-row set against.
+// subtractBvN subtracts w along m and keeps the thr=1 masks in step with
+// work's support: every cell the subtraction zeroed goes into dc.zlist
+// and out of dc.elig, and dc.zrows becomes the bitmask of rows that lost
+// a cell, which the next memoized extraction tests each row's
+// scanned-row set against.
 //
 //hybridsched:hotpath
-func (dc *Decomposer) clearEligCells(cells []int32) {
+func (dc *Decomposer) subtractBvN(work *demand.Matrix, m Matching, w int64) {
 	n, words := dc.n, dc.words
-	dc.zlist = cells
 	zrows := dc.zrows
-	for w := range zrows {
-		zrows[w] = 0
+	for k := range zrows {
+		zrows[k] = 0
 	}
-	for _, c := range cells {
-		i, j := int(c)/n, int(c)%n
-		dc.elig[i*words+j>>6] &^= 1 << (uint(j) & 63)
-		zrows[uint(i)>>6] |= 1 << (uint(i) & 63)
+	dc.zlist = dc.zlist[:0]
+	for i, j := range m {
+		if j == Unmatched {
+			continue
+		}
+		if work.At(i, j) == w {
+			//hybridsched:alloc-ok amortized growth of the recycled zeroed-cell list
+			dc.zlist = append(dc.zlist, int32(i*n+j))
+			dc.elig[i*words+j>>6] &^= 1 << (uint(j) & 63)
+			zrows[uint(i)>>6] |= 1 << (uint(i) & 63)
+		}
+		work.Add(i, j, -w)
 	}
 }
 
@@ -617,8 +500,7 @@ func (dc *Decomposer) feasible(d *demand.Matrix, thr int64) bool {
 // bestThreshold returns the largest t such that the edges {(i,j) :
 // work(i,j) >= t} admit a perfect matching, or 0 if none does. The
 // predicate is monotone (feasible below, infeasible above), so the
-// result is independent of probe order; the warm seed and the parallel
-// multi-pivot rounds only change which probes run, never the answer.
+// search is a plain binary search over the distinct values.
 func (dc *Decomposer) bestThreshold(work *demand.Matrix) int64 {
 	n := work.N()
 	vals := dc.vals[:0]
@@ -637,22 +519,7 @@ func (dc *Decomposer) bestThreshold(work *demand.Matrix) int64 {
 	vals = dedup(vals)
 	lo, hi := 0, len(vals)-1
 	best := int64(0)
-	// Warm seed: the previous frame's threshold for this extraction step.
-	if s := dc.seedThr; s > 0 {
-		if k, ok := slices.BinarySearch(vals, s); ok {
-			if dc.feasible(work, vals[k]) {
-				best = vals[k]
-				lo = k + 1
-			} else {
-				hi = k - 1
-			}
-		}
-	}
 	for lo <= hi {
-		if len(dc.parScr) > 1 && hi-lo >= 3 {
-			lo, hi, best = dc.probeRound(work, vals, lo, hi, best)
-			continue
-		}
 		mid := (lo + hi) / 2
 		if dc.feasible(work, vals[mid]) {
 			best = vals[mid]
@@ -662,47 +529,6 @@ func (dc *Decomposer) bestThreshold(work *demand.Matrix) int64 {
 		}
 	}
 	return best
-}
-
-// probeRound evaluates up to len(parScr) evenly spaced pivots of
-// vals[lo..hi] concurrently and narrows the interval around the
-// feasibility boundary. The predicate is monotone, so the largest
-// feasible pivot and the smallest infeasible pivot bracket the answer
-// exactly as a sequence of serial probes would.
-func (dc *Decomposer) probeRound(work *demand.Matrix, vals []int64, lo, hi int, best int64) (int, int, int64) {
-	span := hi - lo + 1
-	w := len(dc.parScr)
-	probes := dc.parProbe[:0]
-	for k := 1; k <= w; k++ {
-		p := lo + span*k/(w+1)
-		if p > hi {
-			p = hi
-		}
-		if len(probes) == 0 || probes[len(probes)-1] != p {
-			probes = append(probes, p)
-		}
-	}
-	dc.parProbe = probes
-	feas := dc.parFeas[:len(probes)]
-	scr := dc.parScr
-	err := pool.MapInto(dc.par, len(probes), feas, func(pi int) (bool, error) {
-		return scr[pi].feasible(work, vals[probes[pi]]), nil
-	})
-	_ = err // probe fn never fails
-	for pi := len(probes) - 1; pi >= 0; pi-- {
-		if feas[pi] {
-			best = vals[probes[pi]]
-			lo = probes[pi] + 1
-			break
-		}
-	}
-	for pi := 0; pi < len(probes); pi++ {
-		if !feas[pi] {
-			hi = probes[pi] - 1
-			break
-		}
-	}
-	return lo, hi, best
 }
 
 // stuffInto rebuilds dc.work as d padded so every line sums to the max
@@ -730,110 +556,21 @@ func (dc *Decomposer) stuffInto(d *demand.Matrix) *demand.Matrix {
 	return w
 }
 
-// snapshotSupport records work's nonzero structure into c.support.
-func (dc *Decomposer) snapshotSupport(c *frameCache, work *demand.Matrix) {
-	for i := 0; i < dc.n; i++ {
-		c.support = append(c.support, work.RowBits(i)...)
-	}
+// emit appends one extraction to the output arenas. Slot views are
+// materialized in finishSlots once the matching arena stops growing.
+func (dc *Decomposer) emit(m Matching, w int64) {
+	dc.mback = append(dc.mback, m...)
+	dc.slots = append(dc.slots, Slot{Weight: w})
 }
 
-// supportEqual reports whether work's nonzero structure equals a
-// previously snapshotted support.
-//
-//hybridsched:hotpath
-func (dc *Decomposer) supportEqual(work *demand.Matrix, sup []uint64) bool {
-	if len(sup) != dc.n*dc.words {
-		return false
-	}
-	for i := 0; i < dc.n; i++ {
-		rb := work.RowBits(i)
-		off := i * dc.words
-		for k, w := range rb {
-			if sup[off+k] != w {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// subtractTrack subtracts w along m and appends every cell the
-// subtraction zeroed to c.zcells — the support delta the BvN warm replay
-// verifies against.
-//
-//hybridsched:hotpath
-func (dc *Decomposer) subtractTrack(work *demand.Matrix, m Matching, w int64, c *frameCache) {
+// finishSlots points each slot at its matching in the (now stable)
+// matching arena and returns the caller-visible slots.
+func (dc *Decomposer) finishSlots() []Slot {
 	n := dc.n
-	for i, j := range m {
-		if j == Unmatched {
-			continue
-		}
-		if work.At(i, j) == w {
-			//hybridsched:alloc-ok amortized growth of the recycled zeroed-cell arena
-			c.zcells = append(c.zcells, int32(i*n+j))
-		}
-		work.Add(i, j, -w)
+	for k := range dc.slots {
+		dc.slots[k].Match = Matching(dc.mback[k*n : (k+1)*n])
 	}
-}
-
-// emitStep appends one extraction to the side being built. Slot views
-// are materialized in finishSlots once the matching arena stops growing.
-func (dc *Decomposer) emitStep(c *frameCache, m Matching, w, thr int64, zOff int32) {
-	off := len(c.mback)
-	c.mback = append(c.mback, m...)
-	c.steps = append(c.steps, warmStep{
-		mOff: int32(off),
-		zOff: zOff,
-		zLen: int32(len(c.zcells)) - zOff,
-		w:    w,
-		thr:  thr,
-	})
-}
-
-// finishSlots builds the caller-visible slot views over the (now stable)
-// matching arena and stamps the side's input copy.
-func (dc *Decomposer) finishSlots(c *frameCache, d *demand.Matrix) []Slot {
-	for _, st := range c.steps {
-		c.slots = append(c.slots, Slot{
-			Match:  Matching(c.mback[st.mOff : int(st.mOff)+dc.n]),
-			Weight: st.w,
-		})
-	}
-	if c.d == nil {
-		c.d = demand.FromPool(dc.n)
-	}
-	c.d.CopyFrom(d)
-	c.valid = true
-	return c.slots
-}
-
-// copyCache replays src's frame into dst — the identical-input fast
-// path. dst becomes a deep copy so the double-buffer ownership story is
-// the same as for a computed frame.
-func (dc *Decomposer) copyCache(dst, src *frameCache) {
-	dst.mback = append(dst.mback[:0], src.mback...)
-	dst.steps = append(dst.steps[:0], src.steps...)
-	dst.zcells = append(dst.zcells[:0], src.zcells...)
-	dst.support = append(dst.support[:0], src.support...)
-	if src.residual != nil {
-		if dst.residual == nil {
-			dst.residual = demand.FromPool(dc.n)
-		}
-		dst.residual.CopyFrom(src.residual)
-	}
-}
-
-// zEqual compares two zeroed-cell lists.
-func zEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return dc.slots
 }
 
 // BvN performs a Birkhoff–von Neumann decomposition: the matrix is
@@ -842,74 +579,30 @@ func zEqual(a, b []int32) bool {
 // minimum entry. The resulting schedule serves the entire matrix in
 // exactly MaxLineSum demand units — optimal when reconfiguration is
 // free, but it may use up to n^2-2n+2 slots, each paying the OCS
-// dead-time. Output is bit-for-bit what a cold run produces; the warm
-// cache only changes how much work finding it takes. See the type
-// comment for slot ownership.
+// dead-time. See the type comment for slot ownership.
 func (dc *Decomposer) BvN(d *demand.Matrix) []Slot {
-	dc.cur ^= 1
-	cur, prev := &dc.side[dc.cur], &dc.side[dc.cur^1]
-	cur.resetFor(false, 0)
-
-	// Warm mechanism 1: identical input reproduces the identical frame.
-	if prev.valid && !prev.maxmin && d.Equal(prev.d) {
-		dc.copyCache(cur, prev)
-		return dc.finishSlots(cur, d)
-	}
-
+	dc.mback = dc.mback[:0]
+	dc.slots = dc.slots[:0]
 	work := dc.stuffInto(d)
-	dc.snapshotSupport(cur, work)
 	// The thr=1 candidate masks are built once and then shrunk in place
 	// as subtractions zero cells; consecutive extractions replay every
 	// row the zeroed cells cannot have affected (see perfectBvN).
 	dc.buildElig(work, 1)
 	dc.ensureChk()
 	memo := false
-
-	// Warm mechanism 2: support replay. Valid while the stuffed support
-	// evolves exactly as it did last frame (see file comment).
-	reuse := prev.valid && !prev.maxmin && dc.supportEqual(work, prev.support)
-	step := 0
 	for work.Total() > 0 {
-		var m Matching
-		var w int64
-		if reuse && step < len(prev.steps) {
-			ps := &prev.steps[step]
-			cm := Matching(prev.mback[ps.mOff : int(ps.mOff)+dc.n])
-			if w = minAlong(work, cm); w > 0 {
-				m = cm
-			} else {
-				reuse = false
-			}
-		} else {
-			reuse = false
+		m, ok := dc.perfectBvN(memo)
+		if !ok {
+			// Cannot happen for a stuffed matrix (Birkhoff's theorem);
+			// guard against a bug rather than spinning forever.
+			panic("match: stuffed matrix lost perfect matching")
 		}
-		if m == nil {
-			var ok bool
-			m, ok = dc.perfectBvN(memo)
-			if !ok {
-				// Cannot happen for a stuffed matrix (Birkhoff's theorem);
-				// guard against a bug rather than spinning forever.
-				panic("match: stuffed matrix lost perfect matching")
-			}
-			memo = true
-			w = minAlong(work, m)
-		}
-		zOff := int32(len(cur.zcells))
-		dc.subtractTrack(work, m, w, cur)
-		dc.clearEligCells(cur.zcells[zOff:])
-		if reuse {
-			ps := &prev.steps[step]
-			if !zEqual(cur.zcells[zOff:], prev.zcells[ps.zOff:ps.zOff+ps.zLen]) {
-				// The supports diverge after this step; this step itself
-				// used the still-matching pre-step support, so its
-				// emission stands and later steps go live.
-				reuse = false
-			}
-		}
-		dc.emitStep(cur, m, w, 0, zOff)
-		step++
+		memo = true
+		w := minAlong(work, m)
+		dc.subtractBvN(work, m, w)
+		dc.emit(m, w)
 	}
-	return dc.finishSlots(cur, d)
+	return dc.finishSlots()
 }
 
 // MaxMin is the reconfiguration-aware decomposition in the spirit of
@@ -917,34 +610,18 @@ func (dc *Decomposer) BvN(d *demand.Matrix) []Slot {
 // is as large as possible (found by binary search over thresholds), so
 // few fat slots carry most of the demand. Extraction stops when the best
 // matching serves less than minWorth per pair — demand not worth an OCS
-// reconfiguration — and the residual is returned for the EPS to carry.
-// The returned residual is a fresh pool-backed matrix owned by the
-// caller (Release it when consumed); the slots follow the Decomposer's
-// double-buffer ownership. Output is bit-for-bit the cold result.
-func (dc *Decomposer) MaxMin(d *demand.Matrix, minWorth int64) ([]Slot, *demand.Matrix) {
-	dc.cur ^= 1
-	cur, prev := &dc.side[dc.cur], &dc.side[dc.cur^1]
-	cur.resetFor(true, minWorth)
-
-	if prev.valid && prev.maxmin && prev.minWorth == minWorth && d.Equal(prev.d) {
-		dc.copyCache(cur, prev)
-		slots := dc.finishSlots(cur, d)
-		res := demand.FromPool(dc.n)
-		res.CopyFrom(cur.residual)
-		return slots, res
-	}
-
+// reconfiguration — and what is left (residual) is for the EPS to carry.
+// The slots follow the type comment's ownership.
+func (dc *Decomposer) MaxMin(d *demand.Matrix, minWorth int64) []Slot {
+	dc.mback = dc.mback[:0]
+	dc.slots = dc.slots[:0]
 	work := dc.stuffInto(d)
-	served := demand.FromPool(dc.n)
-	warmThr := prev.valid && prev.maxmin
-	step := 0
+	if dc.served == nil {
+		dc.served = demand.FromPool(dc.n)
+	} else {
+		dc.served.Reset()
+	}
 	for work.Total() > 0 {
-		// Warm mechanism 3: seed the monotone search with the previous
-		// frame's threshold for this step.
-		dc.seedThr = 0
-		if warmThr && step < len(prev.steps) {
-			dc.seedThr = prev.steps[step].thr
-		}
 		thr := dc.bestThreshold(work)
 		if thr <= 0 {
 			break
@@ -957,42 +634,37 @@ func (dc *Decomposer) MaxMin(d *demand.Matrix, minWorth int64) ([]Slot, *demand.
 		if minWorth > 0 && w < minWorth {
 			break
 		}
-		zOff := int32(len(cur.zcells))
-		dc.subtractTrack(work, m, w, cur)
+		subtract(work, m, w)
 		for i, j := range m {
 			if j != Unmatched {
-				served.Add(i, j, w)
+				dc.served.Add(i, j, w)
 			}
 		}
-		dc.emitStep(cur, m, w, thr, zOff)
-		step++
+		dc.emit(m, w)
 	}
-	dc.seedThr = 0
-	if cur.residual == nil {
-		cur.residual = demand.FromPool(dc.n)
-	} else {
-		cur.residual.Reset()
-	}
+	return dc.finishSlots()
+}
+
+// residual returns the demand of d that the last MaxMin(d, ...) left
+// unserved, as a new caller-owned matrix. It is not drawn from the matrix
+// pool: callers keep residuals, so a pooled one would rarely be recycled.
+func (dc *Decomposer) residual(d *demand.Matrix) *demand.Matrix {
+	res := demand.NewMatrix(dc.n)
 	for i := 0; i < dc.n; i++ {
 		row := d.Row(i)
 		for k := 0; k < row.Len(); k++ {
 			j, v := row.Entry(k)
-			if rem := v - served.At(i, j); rem > 0 {
-				cur.residual.Set(i, j, rem)
+			if rem := v - dc.served.At(i, j); rem > 0 {
+				res.Set(i, j, rem)
 			}
 		}
 	}
-	served.Release()
-	slots := dc.finishSlots(cur, d)
-	res := demand.FromPool(dc.n)
-	res.CopyFrom(cur.residual)
-	return slots, res
+	return res
 }
 
-// decomposerPools recycles cold-path engines per dimension, so the
-// package-level Decompose functions reuse Kuhn scratch, arenas and the
-// stuffed working matrix across calls without carrying warm state
-// between unrelated callers.
+// decomposerPools recycles engines per dimension, so the package-level
+// Decompose functions reuse Kuhn scratch, arenas and the stuffed working
+// matrix across calls.
 var decomposerPools sync.Map // int -> *sync.Pool
 
 func decomposerFor(n int) *Decomposer {
@@ -1002,13 +674,7 @@ func decomposerFor(n int) *Decomposer {
 			New: func() any { return newDecomposer(n) },
 		})
 	}
-	dc := p.(*sync.Pool).Get().(*Decomposer)
-	// The cold functions are pure functions of their input: drop any warm
-	// cache a previous borrower left behind. (Warm output is bit-for-bit
-	// cold output anyway; this keeps the cold path's work profile, and
-	// therefore its benchmarks, independent of call history.)
-	dc.Reset()
-	return dc
+	return p.(*sync.Pool).Get().(*Decomposer)
 }
 
 func (dc *Decomposer) release() {

@@ -7,14 +7,12 @@ import (
 
 	"hybridsched/internal/demand"
 	"hybridsched/internal/rng"
-	"hybridsched/internal/runner/pool"
 )
 
 // Tests for the frame-decomposition engine (decompose.go): lineage
-// equivalence against the preserved sparse and dense references, the
-// warm-equals-cold contract of every warm-start mechanism, compute-ahead
-// transparency, parallel-threshold-search determinism, and the
-// steady-state allocation pin the hot-path annotations promise.
+// equivalence against the preserved sparse and dense references, and the
+// contract that a retained engine (and a Reset frame scheduler) equals a
+// fresh one. The steady-state allocation pin is in frame_alloc_test.go.
 
 // slotsEqual fails the test unless the two slot sequences match exactly
 // — same length, same matchings, same weights, in order.
@@ -103,10 +101,10 @@ func TestThreeWayDecompositionEquivalence(t *testing.T) {
 }
 
 // mutateDemand applies a randomized epoch-over-epoch delta to d: with
-// probability ~1/4 it changes nothing (the identical-input fast path),
-// otherwise it scales a few existing entries (value-only changes keep
-// the stuffed support replayable) and occasionally adds or removes a
-// cell (structural changes force live extraction mid-frame).
+// probability ~1/4 it changes nothing (the engine sees the same input
+// twice), otherwise it scales a few existing entries (value-only changes
+// keep the stuffed support) and occasionally adds or removes a cell
+// (structural changes).
 func mutateDemand(r *rng.Rand, d *demand.Matrix) {
 	switch r.Intn(4) {
 	case 0:
@@ -139,29 +137,25 @@ func mutateDemand(r *rng.Rand, d *demand.Matrix) {
 	}
 }
 
-// TestWarmColdEquivalence is the warm-start contract: a Decomposer
-// retained across a trajectory of mutating demand matrices must produce,
-// at every epoch, exactly the slots (and residual) a freshly constructed
-// engine produces for that epoch's input alone — bit for bit, through
-// the identical-input, support-replay and threshold-seed mechanisms and
-// across both buffer sides.
+// TestWarmColdEquivalence: a retained engine equals a fresh one. A
+// Decomposer retained across a trajectory of mutating demand matrices
+// must produce, at every epoch, exactly the slots (and residual) a
+// freshly constructed engine produces for that epoch's input alone — bit
+// for bit, so no recycled memo, mask, arena or pooled matrix carries
+// anything over from the previous decomposition.
 func TestWarmColdEquivalence(t *testing.T) {
 	for _, n := range []int{16, 64, 128} {
 		for _, maxmin := range []bool{false, true} {
 			r := rng.New(uint64(n)*501 + 11)
-			warm := NewDecomposer(n)
+			warm := newDecomposer(n)
 			d := sparseFrameDemand(r, n, 5, 200)
 			for epoch := 0; epoch < 12; epoch++ {
 				label := fmt.Sprintf("n=%d maxmin=%v epoch=%d", n, maxmin, epoch)
-				cold := NewDecomposer(n)
+				cold := newDecomposer(n)
 				if maxmin {
 					minWorth := d.MaxLineSum() / 16
-					gotSlots, gotRes := warm.MaxMin(d, minWorth)
-					wantSlots, wantRes := cold.MaxMin(d, minWorth)
-					slotsEqual(t, label, gotSlots, wantSlots)
-					matricesEqual(t, label+" residual", gotRes, wantRes)
-					gotRes.Release()
-					wantRes.Release()
+					slotsEqual(t, label, warm.MaxMin(d, minWorth), cold.MaxMin(d, minWorth))
+					matricesEqual(t, label+" residual", warm.residual(d), cold.residual(d))
 				} else {
 					slotsEqual(t, label, warm.BvN(d), cold.BvN(d))
 				}
@@ -171,122 +165,54 @@ func TestWarmColdEquivalence(t *testing.T) {
 	}
 }
 
-// TestDecomposerSlotLifetime pins the double-buffer ownership contract:
-// the slots one decomposition returns must remain intact through the
-// NEXT decomposition on the same engine (that is what lets a frame play
-// back while its successor computes).
-func TestDecomposerSlotLifetime(t *testing.T) {
-	n := 32
-	r := rng.New(77)
-	dc := NewDecomposer(n)
-	d1 := sparseFrameDemand(r, n, 4, 100)
-	d2 := sparseFrameDemand(r, n, 4, 100)
-
-	first := dc.BvN(d1)
-	want := cloneSlots(first, n)
-	dc.BvN(d2) // must not disturb first's storage
-	slotsEqual(t, "slots after one subsequent decomposition", first, want)
-}
-
-// TestParallelThresholdSearchEquivalence: installing a worker pool fans
-// the max-min threshold probes out but must not change a single slot,
-// weight or residual cell relative to the serial search.
-func TestParallelThresholdSearchEquivalence(t *testing.T) {
-	for _, workers := range []int{2, 4, 8} {
-		p := pool.New(workers)
-		for _, n := range []int{16, 64, 128} {
-			r := rng.New(uint64(n*workers) * 13)
-			par := NewDecomposer(n)
-			par.SetPool(p)
-			ser := NewDecomposer(n)
-			d := sparseFrameDemand(r, n, 5, 500)
-			for epoch := 0; epoch < 4; epoch++ {
-				label := fmt.Sprintf("workers=%d n=%d epoch=%d", workers, n, epoch)
-				minWorth := d.MaxLineSum() / 16
-				gotSlots, gotRes := par.MaxMin(d, minWorth)
-				wantSlots, wantRes := ser.MaxMin(d, minWorth)
-				slotsEqual(t, label, gotSlots, wantSlots)
-				matricesEqual(t, label+" residual", gotRes, wantRes)
-				gotRes.Release()
-				wantRes.Release()
-				mutateDemand(r, d)
-			}
-		}
-	}
-}
-
-// TestComputeAheadEquivalence: a frame scheduler with the background
-// decomposition worker enabled must emit exactly the matchings the
-// synchronous scheduler emits, across frame boundaries, demand shifts
-// and Reset — speculation may only ever change where the work runs.
-func TestComputeAheadEquivalence(t *testing.T) {
+// TestFrameSchedulerResetEquivalence: a frame scheduler Reset mid-
+// trajectory must emit exactly what a freshly built one emits from that
+// point on, across frame boundaries, demand shifts and a drain to zero
+// demand — Reset may leave no playback or engine state behind.
+func TestFrameSchedulerResetEquivalence(t *testing.T) {
 	for _, name := range []string{"bvn", "maxmin"} {
 		n := 64
 		r := rng.New(991)
-		sync, _ := New(name, n, 1)
-		ahead, _ := New(name, n, 1)
-		ahead.(*FrameScheduler).EnableComputeAhead()
-		defer ahead.(*FrameScheduler).Close()
+		used, _ := New(name, n, 1)
+		fresh, _ := New(name, n, 1)
 
 		d := sparseFrameDemand(r, n, 5, 300)
+		zero := demand.NewMatrix(n)
 		for step := 0; step < 400; step++ {
-			got := ahead.Schedule(d).Clone()
-			want := sync.Schedule(d)
+			in := d
+			if step >= 140 && step <= 140+maxPlayback {
+				// Drain: long enough for any frame's playback to run out,
+				// so a refill finds zero demand.
+				in = zero
+			}
+			got := used.Schedule(in).Clone()
+			want := fresh.Schedule(in)
 			if !got.Equal(want) {
-				t.Fatalf("%s step %d: compute-ahead %v != sync %v", name, step, got, want)
+				t.Fatalf("%s step %d: reset scheduler %v != fresh %v", name, step, got, want)
 			}
 			// Shift demand mid-playback sometimes, between frames other
-			// times; occasionally drain to zero and reset.
+			// times.
 			if step%37 == 0 {
 				mutateDemand(r, d)
 			}
 			if step == 211 {
-				sync.Reset()
-				ahead.Reset()
+				used.Reset()
+				fresh, _ = New(name, n, 1)
 			}
+		}
+		if u, f := used.(*FrameScheduler).Frames(), fresh.(*FrameScheduler).Frames(); u != f {
+			t.Fatalf("%s: reset scheduler computed %d frames since Reset, fresh %d", name, u, f)
 		}
 	}
 }
 
-// TestFrameSchedulerSteadyStateAllocs pins the refill boundary's promise:
-// once warm, a frame scheduler driven through repeated full frames —
-// including the decompositions themselves — allocates nothing, even with
-// the demand alternating so the identical-input fast path cannot carry
-// every refill.
-func TestFrameSchedulerSteadyStateAllocs(t *testing.T) {
-	for _, name := range []string{"bvn", "maxmin"} {
-		n := 32
-		r := rng.New(uint64(len(name)))
-		alg, _ := New(name, n, 1)
-		f := alg.(*FrameScheduler)
-		a := sparseFrameDemand(r, n, 4, 100)
-		b := sparseFrameDemand(r, n, 4, 100)
-		// Warm up: both buffer sides, both inputs, all arenas at final cap.
-		for i := 0; i < 8*maxPlayback; i++ {
-			if i%maxPlayback == 0 && (i/maxPlayback)%2 == 1 {
-				a, b = b, a
-			}
-			f.Schedule(a)
-		}
-		per := testing.AllocsPerRun(3, func() {
-			for i := 0; i < 2*maxPlayback; i++ {
-				f.Schedule(a)
-			}
-			a, b = b, a
-		})
-		if per != 0 {
-			t.Errorf("%s-frame steady state allocates %.1f allocs per double frame, want 0", name, per)
-		}
-	}
-}
-
-// FuzzWarmStartRepair drives the warm repair path with fuzzed demand
-// deltas: decompose a base matrix, apply an arbitrary mutation sequence,
-// decompose again on the same warm engine, and require bit-for-bit
-// agreement with a cold engine seeing only the final matrix. The fuzzer
-// hunts for support evolutions where replay validation (zeroed-set
-// comparison, threshold seeding, memoized extraction) would wrongly keep
-// stale work.
+// FuzzWarmStartRepair checks that a retained engine equals a fresh one
+// under fuzzed demand deltas: decompose a base matrix, apply an arbitrary
+// mutation sequence, decompose again on the same engine, and require
+// bit-for-bit agreement with a fresh engine seeing only the final matrix.
+// The fuzzer hunts for inputs where recycled scratch (the extraction
+// memo, the candidate masks, the arenas, the served matrix) would leak
+// state from one decomposition into the next.
 func FuzzWarmStartRepair(f *testing.F) {
 	f.Add(uint64(1), []byte{0x10, 0x82, 0x3f})
 	f.Add(uint64(7), []byte{0x00, 0x00, 0xff, 0x41, 0x07, 0x30})
@@ -295,11 +221,10 @@ func FuzzWarmStartRepair(f *testing.F) {
 		n := 16
 		r := rng.New(seed)
 		d := sparseFrameDemand(r, n, 4, 40)
-		warm := NewDecomposer(n)
+		warm := newDecomposer(n)
 		warm.BvN(d)
-		warmMM := NewDecomposer(n)
-		_, res := warmMM.MaxMin(d, d.MaxLineSum()/16)
-		res.Release()
+		warmMM := newDecomposer(n)
+		warmMM.MaxMin(d, d.MaxLineSum()/16)
 
 		// Interpret each op byte as one cell edit: high nibble picks the
 		// cell (wrapping), low nibble the new value (0 removes).
@@ -312,18 +237,14 @@ func FuzzWarmStartRepair(f *testing.F) {
 			d.Set(i, j, int64(op&0x0f))
 		}
 
-		cold := NewDecomposer(n)
+		cold := newDecomposer(n)
 		got, want := warm.BvN(d), cold.BvN(d)
 		slotsEqual(t, "bvn warm repair", got, want)
 
-		coldMM := NewDecomposer(n)
+		coldMM := newDecomposer(n)
 		minWorth := d.MaxLineSum() / 16
-		gotS, gotR := warmMM.MaxMin(d, minWorth)
-		wantS, wantR := coldMM.MaxMin(d, minWorth)
-		slotsEqual(t, "maxmin warm repair", gotS, wantS)
-		matricesEqual(t, "maxmin warm residual", gotR, wantR)
-		gotR.Release()
-		wantR.Release()
+		slotsEqual(t, "maxmin warm repair", warmMM.MaxMin(d, minWorth), coldMM.MaxMin(d, minWorth))
+		matricesEqual(t, "maxmin warm residual", warmMM.residual(d), coldMM.residual(d))
 	})
 }
 

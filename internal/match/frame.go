@@ -17,50 +17,29 @@ import (
 // often by repeating them ceil(weight/quantum) times, preserving the
 // decomposition's service ratios.
 //
-// The scheduler owns a warm Decomposer: consecutive frames over similar
-// demand reuse the previous frame's permutations and thresholds (see
-// decompose.go), and the playback queue and all decomposition scratch are
-// recycled, so steady-state operation is allocation-free. With
-// EnableComputeAhead the next frame speculatively decomposes on a
-// background goroutine while the current frame plays back; the engine's
-// double-buffered arenas are what make that overlap safe. Scheduling
-// output is bit-for-bit identical with compute-ahead on or off: a
-// speculative frame is adopted only when its predicted input equals the
-// live snapshot, and a decomposition is a pure function of its input.
+// The scheduler owns a Decomposer, and the playback queue and all
+// decomposition scratch are recycled, so steady-state operation is
+// allocation-free. A frame is decomposed synchronously, inside the
+// Schedule call that finds the queue empty; the queued matchings live in
+// the engine's arena until the next decomposition.
 type FrameScheduler struct {
-	n       int
-	maxmin  bool
-	quantum int64 // demand units per emitted slot
-	dc      *Decomposer
-	queue   []Matching // current frame's playback, recycled across frames
-	qhead   int        // next playback position in queue
-	idle    Matching   // all-Unmatched result for zero demand
-	frames  int64
-
-	// Compute-ahead state. The worker goroutine owns dc between kick and
-	// join; the scheduler touches dc only while no request is in flight.
-	ahead    bool
-	inflight bool
-	reqCh    chan *demand.Matrix
-	resCh    chan aheadFrame
-}
-
-// aheadFrame is one speculative decomposition: the predicted demand it
-// was computed from and the engine-owned slots it produced.
-type aheadFrame struct {
-	pred  *demand.Matrix
-	slots []Slot
+	maxmin bool
+	dc     *Decomposer
+	queue  []Matching // current frame's playback, recycled across frames
+	qhead  int        // next playback position in queue
+	idle   Matching   // all-Unmatched result for zero demand
+	frames int64
 }
 
 // NewBvNFrame returns a frame scheduler using the full BvN decomposition.
 func NewBvNFrame(n int) *FrameScheduler {
-	return &FrameScheduler{n: n, dc: newDecomposer(n), idle: NewMatching(n)}
+	return &FrameScheduler{dc: newDecomposer(n), idle: NewMatching(n)}
 }
 
 // NewMaxMinFrame returns a frame scheduler using the reconfiguration-aware
 // max-min decomposition.
 func NewMaxMinFrame(n int) *FrameScheduler {
-	return &FrameScheduler{n: n, maxmin: true, dc: newDecomposer(n), idle: NewMatching(n)}
+	return &FrameScheduler{maxmin: true, dc: newDecomposer(n), idle: NewMatching(n)}
 }
 
 // Name implements Algorithm.
@@ -71,15 +50,12 @@ func (f *FrameScheduler) Name() string {
 	return "bvn-frame"
 }
 
-// Reset implements Algorithm: playback and the warm cache are discarded,
-// so the next Schedule decomposes cold — the state a fresh scheduler has.
+// Reset implements Algorithm: playback is discarded, so the next
+// Schedule decomposes a new frame — the state a fresh scheduler has.
 func (f *FrameScheduler) Reset() {
-	f.join()
 	f.queue = f.queue[:0]
 	f.qhead = 0
 	f.frames = 0
-	f.quantum = 0
-	f.dc.Reset()
 }
 
 // Frames returns how many decompositions have been computed.
@@ -90,13 +66,13 @@ func (f *FrameScheduler) Frames() int64 { return f.frames }
 const maxPlayback = 64
 
 // Complexity implements Algorithm. The hardware depth models one
-// augmenting sweep per emitted slot (frame computation overlaps playback
-// in the pipelined implementation — see EnableComputeAhead). The
-// software cost is the word-parallel frame decomposition amortized over
-// the playback it feeds: a frame runs O(n) extractions, each a Kuhn
-// sweep over ⌈n/64⌉-word rows plus stuffing and (max-min) threshold
-// probes, and plays back up to maxPlayback slots, so the per-emitted-
-// slot share is O(n²·⌈n/64⌉) words scanned plus the probe term. The old
+// augmenting sweep per emitted slot (a pipelined hardware implementation
+// overlaps frame computation with playback). The software cost is the
+// word-parallel frame decomposition amortized over the playback it
+// feeds: a frame runs O(n) extractions, each a Kuhn sweep over
+// ⌈n/64⌉-word rows plus stuffing and (max-min) threshold probes, and
+// plays back up to maxPlayback slots, so the per-emitted-slot share is
+// O(n²·⌈n/64⌉) words scanned plus the probe term. The old
 // metadata still carried the dense-era n³-per-slot scan model, which
 // overstates the word-parallel cost roughly 64-fold at fabric sizes.
 // TestFrameComplexityReflectsOps pins the new model against an
@@ -127,67 +103,13 @@ func (f *FrameScheduler) Schedule(d *demand.Matrix) Matching {
 	return m
 }
 
-// EnableComputeAhead starts the background decomposition worker: after
-// every frame refill the scheduler predicts the next frame's demand (the
-// snapshot that produced this one — under frame-scale demand stability
-// the common case) and decomposes it while the current frame plays back.
-// At the next refill the speculative frame is adopted iff the prediction
-// matched the live snapshot exactly; otherwise the refill decomposes
-// synchronously. Either way the schedule is byte-identical to the
-// non-pipelined path. Callers that enable compute-ahead must Close the
-// scheduler to stop the worker.
-func (f *FrameScheduler) EnableComputeAhead() {
-	if f.ahead {
-		return
-	}
-	f.ahead = true
-	f.reqCh = make(chan *demand.Matrix, 1)
-	f.resCh = make(chan aheadFrame, 1)
-	go f.worker()
-}
-
-// Close stops the compute-ahead worker, if any. The scheduler remains
-// usable afterwards (synchronously).
-func (f *FrameScheduler) Close() {
-	if !f.ahead {
-		return
-	}
-	f.join()
-	close(f.reqCh)
-	f.ahead = false
-}
-
-// join retires an in-flight speculative decomposition, returning dc
-// ownership to the caller. The discarded result is safe to drop: the
-// engine's warm state is validated against the live input on every
-// decomposition, never assumed.
-func (f *FrameScheduler) join() {
-	if !f.inflight {
-		return
-	}
-	res := <-f.resCh
-	res.pred.Release()
-	f.inflight = false
-}
-
-// worker runs speculative decompositions. It owns f.dc from request to
-// response; the scheduler does not touch the engine while a request is in
-// flight.
-func (f *FrameScheduler) worker() {
-	for pred := range f.reqCh {
-		f.resCh <- aheadFrame{pred: pred, slots: f.decompose(pred)}
-	}
-}
-
-// decompose runs one frame decomposition on the warm engine and returns
-// the engine-owned slots.
+// decompose runs one frame decomposition and returns the engine-owned
+// slots.
 func (f *FrameScheduler) decompose(d *demand.Matrix) []Slot {
 	if f.maxmin {
 		// Demand below 1/16 of the max line sum is not worth its own
 		// reconfiguration; the fabric's residue path picks it up.
-		slots, residual := f.dc.MaxMin(d, d.MaxLineSum()/16)
-		residual.Release()
-		return slots
+		return f.dc.MaxMin(d, d.MaxLineSum()/16)
 	}
 	return f.dc.BvN(d)
 }
@@ -197,31 +119,17 @@ func (f *FrameScheduler) decompose(d *demand.Matrix) []Slot {
 // runs once per maxPlayback emitted slots, every buffer it and the
 // decomposition engine touch is recycled, and the steady state is pinned
 // at 0 allocs/op by TestFrameSchedulerSteadyStateAllocs — but its cold
-// start and the pool-handoff machinery are not per-slot work and are not
-// held to the per-slot contract.
+// start and arena growth are not per-slot work and are not held to the
+// per-slot contract.
 //
 //hybridsched:alloc-ok frame boundary, amortized over maxPlayback slots and pinned 0-alloc in steady state
 func (f *FrameScheduler) refill(d *demand.Matrix) {
 	f.queue = f.queue[:0]
 	f.qhead = 0
 	if d.Total() == 0 {
-		f.join()
 		return
 	}
-	var slots []Slot
-	adopted := false
-	if f.inflight {
-		res := <-f.resCh
-		f.inflight = false
-		if res.pred.Equal(d) {
-			slots = res.slots
-			adopted = true
-		}
-		res.pred.Release()
-	}
-	if !adopted {
-		slots = f.decompose(d)
-	}
+	slots := f.decompose(d)
 	if len(slots) == 0 {
 		return
 	}
@@ -248,16 +156,6 @@ func (f *FrameScheduler) refill(d *demand.Matrix) {
 			f.queue = append(f.queue, s.Match)
 			total++
 		}
-	}
-	f.quantum = quantum
-	if f.ahead {
-		// Kick the next speculative frame: predict the demand stays at
-		// this snapshot. The playback slots just queued live in the
-		// engine's other arena side, so the overlap is safe.
-		pred := demand.FromPool(f.n)
-		pred.CopyFrom(d)
-		f.reqCh <- pred
-		f.inflight = true
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // the three-way decomposition equivalence suite, exactly as
 // sparse_ref_test.go preserves the per-slot arbiters. The live engine
 // (decompose.go) runs the augmenting search word-parallel over bitset
-// rows with an explicit stack, recycled arenas and warm starts; this
+// rows with an explicit stack, recycled arenas and a memoized replay; this
 // reference pins that none of it changed a single extracted matching.
 
 // sparseDecomposer is the preserved recursive element-walk Kuhn scratch.

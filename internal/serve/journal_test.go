@@ -190,12 +190,6 @@ func wrapAlgorithm(s *Scheduler, hook *duringSchedule) {
 	}
 }
 
-func (d *duringSchedule) Close() {
-	if c, ok := d.Algorithm.(interface{ Close() }); ok {
-		c.Close()
-	}
-}
-
 // TestJournalMatchesFullCopy drives a Scheduler and the reference model
 // through the same seeded run — bursts that overflow the journal, long
 // sparse stretches that replay it, ingest through Offer, OfferRecords

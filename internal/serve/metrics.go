@@ -150,10 +150,9 @@ func (in *instruments) observeEpoch(elapsed time.Duration, pairs int, servedBits
 }
 
 // observeFrames records one epoch's frame-decomposition work: the
-// latency the Schedule call spent producing its frames (with
-// compute-ahead this is the adoption cost, not the hidden background
-// decomposition) and how many frames it computed. Hot path: atomic
-// updates only.
+// latency of the Schedule call that decomposed its frames (the whole
+// synchronous decomposition plus that epoch's playback slot) and how
+// many frames it computed. Hot path: atomic updates only.
 func (in *instruments) observeFrames(elapsed time.Duration, computed int64) {
 	in.frameLatency.Observe(int64(elapsed))
 	in.framesComputed.Add(uint64(computed))

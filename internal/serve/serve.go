@@ -249,13 +249,6 @@ func (s *Scheduler) setAlgorithm(alg match.Algorithm) {
 	if s.delta != nil && s.changes == nil {
 		s.changes = make([]match.Change, 0, cap(s.journal))
 	}
-	// Frame decomposition schedulers pipeline the next frame's
-	// decomposition behind the current frame's playback; output is
-	// bit-for-bit identical either way, so a long-lived service always
-	// opts in. Close tears the worker down with the scheduler.
-	if ca, ok := alg.(interface{ EnableComputeAhead() }); ok {
-		ca.EnableComputeAhead()
-	}
 }
 
 // Ports returns the fabric port count.
@@ -514,10 +507,9 @@ func (s *Scheduler) step() (Frame, error) {
 // arbiter takes one, from scratch otherwise — the boundary decides, there
 // is nothing to configure. With instrumentation enabled it records the
 // call's latency and path, and for frame decomposition algorithms
-// attributes decomposition work: when the call computed one or more
-// frames (a refill, speculative or synchronous), its latency also lands
-// in the frame-decompose histogram and the frame counter advances; pure
-// playback epochs record nothing there. Recording is atomic updates on
+// attributes decomposition work: when the call computed a frame (a
+// refill), its latency also lands in the frame-decompose histogram and
+// the frame counter advances; pure playback epochs record nothing there. Recording is atomic updates on
 // pre-registered instruments — allocation-free.
 //
 //hybridsched:hotpath
@@ -628,15 +620,10 @@ func (s *Scheduler) Close() error {
 	s.mu.Unlock()
 
 	// The snapshot scratch is only touched under stepMu; taking it here
-	// fences out any in-flight Step before recycling. The algorithm's
-	// own teardown (the frame schedulers' compute-ahead worker) happens
-	// under the same fence, after the last epoch that could touch it.
+	// fences out any in-flight Step before recycling.
 	s.stepMu.Lock()
 	s.snap.Release()
 	s.snap = nil
-	if c, ok := s.alg.(interface{ Close() }); ok {
-		c.Close()
-	}
 	s.stepMu.Unlock()
 
 	s.subMu.Lock()
